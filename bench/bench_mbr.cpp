@@ -125,7 +125,6 @@ std::vector<IncompleteRow> run_incomplete(dim_t max_n, std::uint32_t block) {
     std::vector<IncompleteRow> rows;
     for (dim_t n = 4; n <= max_n; ++n) {
         SessionParams params;
-        params.threads = 2;
         params.comm = hcube::model::ipsc_params();
         Session session(n, params);
         // A deterministic hole pattern keeping root 0 live.
@@ -165,7 +164,6 @@ struct ChurnRow {
 /// Section 3: the join/leave storm.
 ChurnRow run_churn(dim_t n, std::uint32_t block, int transitions) {
     SessionParams params;
-    params.threads = 2;
     params.comm = hcube::model::ipsc_params();
     Session session(n, params);
 

@@ -1,8 +1,8 @@
 // Wall-clock benchmark of the collective service (hcube::svc): steady-state
-// request throughput of a persistent Service — plan cache, resident worker
-// pool, Verify::first oracle policy, request batching — against the
-// one-shot rt::Communicator baseline that re-validates, recompiles, and
-// oracle-checks every operation.
+// request throughput of a persistent Service — plan cache, serial play on
+// the dispatcher thread, Verify::first oracle policy, request batching —
+// against the one-shot rt::Communicator baseline that re-validates,
+// recompiles, and oracle-checks every operation.
 //
 // The workload cycles a small set of repeated signatures (the steady state
 // a long-running service actually sees): after one warm-up pass per
@@ -331,7 +331,6 @@ struct SweepMeasured {
 SweepMeasured run_footprint_sweep(const std::vector<Signature>& sigs,
                                   std::uint64_t budget_bytes, int passes) {
     SessionParams params;
-    params.threads = 4;
     params.plan_cache_bytes = budget_bytes;
     Session session(10, params);
     SweepMeasured m;
@@ -390,7 +389,6 @@ ShrinkMeasured measure_sbt8_shrink(std::uint32_t block) {
     const Signature sig =
         make_sig(Op::broadcast, Family::sbt, 8, 0, 4, block);
     SessionParams compact_params;
-    compact_params.threads = 4;
     SessionParams wide_params = compact_params;
     wide_params.plan_layout = hcube::rt::PlanLayout::wide;
     Session compact_session(8, compact_params);
@@ -424,8 +422,8 @@ int main(int argc, char** argv) {
 
     hcube::bench::banner(
         "hcube::svc service throughput",
-        "persistent service (plan cache + pool + batching) vs one-shot "
-        "rt::Communicator");
+        "persistent service (plan cache + serial play + batching) vs "
+        "one-shot rt::Communicator");
 
     const std::vector<Signature> mix = workload(n, block);
     std::printf("n=%d  requests=%d  block=%u doubles  mix=%zu signatures\n\n",

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(options.get_int("block", 64));
 
     SessionParams params;
-    params.threads = 2;
     params.comm = hcube::model::ipsc_params();
     Session session(n, params);
     const Signature sig = broadcast_sig(n, 0, packets, block);

@@ -7,6 +7,7 @@
 #include "rt/pool.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <deque>
 #include <mutex>
@@ -42,12 +43,11 @@ struct alignas(64) AsyncPlayer::Worker {
 
 AsyncPlayer::AsyncPlayer(const Plan& plan, std::uint32_t channel_capacity)
     : plan_(plan),
-      channels_(plan.channel_count,
-                channel_capacity == 0 ? plan.async_depth : channel_capacity,
-                plan.block_elems, plan.mode == DataMode::combine),
+      channel_capacity_(std::bit_ceil(std::max<std::uint32_t>(
+          channel_capacity == 0 ? plan.async_depth : channel_capacity, 1))),
       views_(static_cast<std::size_t>(plan.total_slots), nullptr),
       deps_(plan.dep_count.size()) {
-    HCUBE_ENSURE_MSG(channels_.capacity() >= plan.async_depth,
+    HCUBE_ENSURE_MSG(channel_capacity_ >= plan.async_depth,
                      "channel ring shallower than the depth the plan's "
                      "capacity edges were emitted for");
     const std::uint64_t bytes =
@@ -67,9 +67,17 @@ AsyncPlayer::AsyncPlayer(const Plan& plan, std::uint32_t channel_capacity)
     }
 }
 
+ChannelBank& AsyncPlayer::rings() {
+    if (!channels_) {
+        channels_.emplace(plan_.channel_count, channel_capacity_,
+                          plan_.block_elems, plan_.mode == DataMode::combine);
+        channels_->set_fault_hook(hook_);
+    }
+    return *channels_;
+}
+
 void AsyncPlayer::prepare_views() {
-    copy_through_ =
-        plan_.mode == DataMode::combine || channels_.inline_active();
+    copy_through_ = plan_.mode == DataMode::combine || hook_ != nullptr;
     const std::size_t blk = plan_.block_elems;
     if (copy_through_) {
         if (memory_.empty() && plan_.total_slots > 0) {
@@ -104,7 +112,7 @@ std::span<const double> AsyncPlayer::block(node_t node,
 }
 
 std::uint64_t AsyncPlayer::resident_bytes() const noexcept {
-    return channels_.resident_bytes() +
+    return ring_bytes() +
            std::uint64_t{views_.capacity()} * sizeof(const double*) +
            std::uint64_t{memory_.capacity()} * sizeof(double) +
            std::uint64_t{expected_checksum_.capacity()} *
@@ -156,7 +164,7 @@ void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
     Worker& self = workers[worker];
     const std::uint32_t count = plan_.workers;
     const std::uint64_t total = plan_.action_count();
-    const RunContext ctx{plan_,          channels_,
+    const RunContext ctx{plan_,          *channels_,
                          views_.data(),  memory_.data(),
                          expected_checksum_.data(),
                          detect_,        arbiter_,
@@ -210,17 +218,12 @@ void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
     }
 }
 
-void AsyncPlayer::run_serial(PlayStats& stats) {
+void AsyncPlayer::run_serial(PlayStats& stats, bool ring_walk) {
     // (cycle, sends-before-recvs, lowered index) is a topological order of
     // the dependency graph and exactly the barrier oracle's execution
     // order, so this walk is byte-identical to it — including combine-mode
     // accumulation order — with no queues, no atomics, no barriers.
-    const RunContext ctx{plan_,          channels_,
-                         views_.data(),  memory_.data(),
-                         expected_checksum_.data(),
-                         detect_,        arbiter_,
-                         trace_,         detect_.enabled(),
-                         copy_through_};
+    //
     // Zero-copy move traffic with no tracer and no detector needs no ring
     // at all when there is only one executing thread: the rings exist to
     // hand descriptors across threads, and here the hop *is* the view
@@ -228,7 +231,7 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
     // of comparing the descriptor's digest word (published from the same
     // table it is checked against), the forwarded view must be the
     // packet's canonical arena block, pointer-identical.
-    if (!copy_through_ && trace_ == nullptr && !ctx.detecting) {
+    if (!ring_walk) {
         for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
             const std::uint32_t lo = plan_.flat_cycle_begin[cycle];
             const std::uint32_t hi = plan_.flat_cycle_begin[cycle + 1];
@@ -248,6 +251,12 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
         }
         return;
     }
+    const RunContext ctx{plan_,          *channels_,
+                         views_.data(),  memory_.data(),
+                         expected_checksum_.data(),
+                         detect_,        arbiter_,
+                         trace_,         detect_.enabled(),
+                         copy_through_};
     // This walk is sequential in hop order, so the layout-agnostic lowered
     // accessors stream it contiguously in either encoding (interleaved SoA
     // entries 2l / 2l+1 on compact, the flat AoS mirrors on wide).
@@ -277,7 +286,6 @@ void AsyncPlayer::run_serial(PlayStats& stats) {
 
 PlayStats AsyncPlayer::play(WorkerPool* pool) {
     prepare_views();
-    channels_.reset();
     arbiter_.reset();
     if (trace_ != nullptr) {
         HCUBE_ENSURE_MSG(trace_->workers() >= plan_.workers,
@@ -285,8 +293,9 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
     }
 
     const std::uint32_t total = plan_.action_count();
-    // Mode selection: tiny plans always run serial; otherwise follow the
-    // tuner (probe stealing first, fall back per measurement).
+    // Mode selection: one-worker and tiny plans always run serial;
+    // otherwise follow the tuner (probe stealing, then serial, then lock
+    // the faster).
     const bool forced_serial =
         plan_.workers == 1 ||
         std::uint64_t{total} <
@@ -294,8 +303,15 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
     const bool serial =
         forced_serial ||
         tune_ == Tune::probe_serial || tune_ == Tune::locked_serial;
+    // Only the serial move-mode walk with no tracer and no detector hands
+    // blocks over without rings; everything else runs the ring protocol.
+    const bool ring_walk = !serial || copy_through_ || trace_ != nullptr ||
+                           detect_.enabled();
+    if (ring_walk) {
+        rings().reset();
+    }
 
-    std::vector<Worker> workers(serial ? 1 : plan_.workers);
+    std::vector<Worker> workers(serial ? 0 : plan_.workers);
     if (!serial) {
         completed_.store(0, std::memory_order_relaxed);
         for (std::uint32_t a = 0; a < total; ++a) {
@@ -309,9 +325,10 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
         }
     }
 
+    PlayStats stats;
     const auto start = std::chrono::steady_clock::now();
     if (serial) {
-        run_serial(workers[0].stats);
+        run_serial(stats, ring_walk);
     } else if (pool != nullptr) {
         HCUBE_ENSURE_MSG(pool->size() >= plan_.workers,
                          "worker pool narrower than the plan");
@@ -331,7 +348,6 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
     }
     const auto stop = std::chrono::steady_clock::now();
 
-    PlayStats stats;
     stats.cycles = plan_.cycles; // logical schedule depth, never barriered
     stats.mode = serial ? ExecMode::serial : ExecMode::stealing;
     stats.seconds = std::chrono::duration<double>(stop - start).count();
@@ -375,23 +391,21 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
 
     // Advance the tuner on clean, tuner-driven runs only (forced-serial
     // runs and faulted runs say nothing about the stealing/serial choice).
+    // A low steal count on the stealing probe only says stealing did not
+    // thrash, not that it beat the serial walk, so both are always timed.
     if (!forced_serial && stats.clean() && !arbiter_.aborted()) {
         if (tune_ == Tune::probe_parallel) {
-            if (stats.steals * 2 <= total) {
-                tune_ = Tune::locked_parallel;
-            } else {
-                probe_parallel_seconds_ = stats.seconds;
-                tune_ = Tune::probe_serial;
-            }
+            probe_parallel_seconds_ = stats.seconds;
+            tune_ = Tune::probe_serial;
         } else if (tune_ == Tune::probe_serial) {
             tune_ = stats.seconds <= probe_parallel_seconds_
                         ? Tune::locked_serial
                         : Tune::locked_parallel;
-        }
-        if (tune_ == Tune::locked_serial) {
-            // The stealing probe lost: the engine just fell back to serial
-            // execution for this plan shape.
-            m_fallbacks.inc();
+            if (tune_ == Tune::locked_serial) {
+                // The stealing probe lost: the engine just fell back to
+                // serial execution for this plan shape.
+                m_fallbacks.inc();
+            }
         }
     }
     return stats;

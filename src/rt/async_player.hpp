@@ -25,11 +25,17 @@
 // Not every plan is worth stealing for. (cycle, sends-before-recvs,
 // lowered index) is a topological order of the dependency graph, so a
 // single thread walking the flat arrays in that order executes the plan
-// with zero queue/atomic bookkeeping — the *serial fast path*. Plans too
-// small to amortize parallelism take it unconditionally; for the rest an
-// adaptive probe (see Tune below) locks in whichever of stealing/serial
-// measured faster on this player's plan. PlayStats::mode reports the
-// choice per run.
+// with zero queue/atomic bookkeeping — the *serial fast path*. One-worker
+// plans and plans too small to amortize parallelism take it
+// unconditionally; for the rest an adaptive probe (see Tune below) locks
+// in whichever of stealing/serial measured faster on this player's plan.
+// PlayStats::mode reports the choice per run.
+//
+// The player only holds what its plays use. The channel bank is built on
+// the first play that needs rings — stealing, copy-through (combine mode
+// or a fault hook), detection, or a trace; a serial move-mode play hands
+// each block over by view assignment and never builds it. Serial plays
+// allocate no per-worker queues.
 #pragma once
 
 #include "ft/fault_model.hpp"
@@ -41,6 +47,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -52,11 +59,11 @@ using RunContext = RunContextT<ChannelBank>;
 
 class AsyncPlayer {
 public:
-    /// Allocates node-local block memory and a channel bank of
-    /// `channel_capacity` ring slots per link (0 picks the plan's
-    /// async_depth; anything smaller than async_depth is rejected, since
-    /// the plan's capacity edges only guard that depth). The plan must
-    /// outlive the player.
+    /// Allocates node-local block memory and sizes (but does not yet
+    /// build) a channel bank of `channel_capacity` ring slots per link (0
+    /// picks the plan's async_depth; anything smaller than async_depth is
+    /// rejected, since the plan's capacity edges only guard that depth).
+    /// The plan must outlive the player.
     explicit AsyncPlayer(const Plan& plan,
                          std::uint32_t channel_capacity = 0);
 
@@ -67,8 +74,11 @@ public:
     }
     /// Installs a fault-injection hook on the channel bank (nullptr
     /// clears). Only valid between runs.
-    void set_fault_hook(ft::ChannelFaultHook* hook) noexcept {
-        channels_.set_fault_hook(hook);
+    void set_fault_hook(ft::ChannelFaultHook* hook) {
+        hook_ = hook;
+        if (channels_) {
+            channels_->set_fault_hook(hook);
+        }
     }
     /// Attaches a per-worker trace recorder sized for >= plan.workers
     /// lanes (nullptr detaches). Only valid between runs.
@@ -100,6 +110,11 @@ public:
     /// counters) — what a byte-budgeted cache charges for keeping the
     /// player warm. The plan itself is accounted by Plan::resident_bytes().
     [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
+    /// The channel bank's share of resident_bytes(): 0 until a play has
+    /// needed rings.
+    [[nodiscard]] std::uint64_t ring_bytes() const noexcept {
+        return channels_ ? channels_->resident_bytes() : 0;
+    }
 
 private:
     struct Worker;
@@ -107,9 +122,9 @@ private:
     /// Adaptive engine-mode tuner. Work-stealing pays off only when a plan
     /// has enough parallel slack; on steal-thrashed shapes (MSBT broadcast:
     /// long per-channel chains, tiny frontier) the serial fast path wins
-    /// outright. The first eligible run probes stealing; if steals dominate
-    /// the action count, the next run probes serial and the faster of the
-    /// two is locked in for the player's lifetime.
+    /// outright. The first eligible run probes stealing, the next probes
+    /// serial, and the faster of the two is locked in for the player's
+    /// lifetime — no mode is locked without timing both.
     enum class Tune {
         probe_parallel,
         probe_serial,
@@ -118,14 +133,20 @@ private:
     };
 
     void prepare_views();
-    void run_serial(PlayStats& stats);
+    /// The channel bank, built on first call (between runs only).
+    ChannelBank& rings();
+    /// The lowered-order walk; without `ring_walk` (move mode, no hook,
+    /// tracer or detector) hops are plain view assignments.
+    void run_serial(PlayStats& stats, bool ring_walk);
     void run_worker(std::uint32_t worker, Worker* workers);
     void execute(const RunContext& ctx, std::uint32_t action,
                  std::uint32_t worker, PlayStats& stats);
     void finish(std::uint32_t action, Worker* workers);
 
     const Plan& plan_;
-    ChannelBank channels_;
+    std::uint32_t channel_capacity_; ///< ring slots per link, power of two
+    std::optional<ChannelBank> channels_; ///< built by rings() on first need
+    ft::ChannelFaultHook* hook_ = nullptr;
     /// Per slot: the block the (node, packet) currently holds — arena
     /// views on the zero-copy path, memory_ under copy-through.
     std::vector<const double*> views_;
@@ -133,7 +154,8 @@ private:
     /// plans (first fault-hooked run), never touched on pure zero-copy.
     std::vector<double> memory_;
     std::vector<std::uint64_t> expected_checksum_; ///< per packet, move mode
-    std::vector<std::atomic<std::uint32_t>> deps_; ///< live dep counters
+    /// Live dep counters; empty on one-worker plans (no graph to count).
+    std::vector<std::atomic<std::uint32_t>> deps_;
     std::atomic<std::uint64_t> completed_{0};
     bool copy_through_ = false; ///< decided per run in prepare_views()
     Tune tune_ = Tune::probe_parallel;

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,6 +55,33 @@ std::uint64_t vec_bytes(const std::vector<T>& v) noexcept {
 
 } // namespace
 
+BlockArena::BlockArena(packet_t packets, std::size_t stride)
+    : data_(std::size_t{packets} * stride + 7), stride_(stride),
+      packets_(packets) {
+    const auto raw = reinterpret_cast<std::uintptr_t>(data_.data());
+    double* base = reinterpret_cast<double*>(raw + ((0u - raw) & 63u));
+    for (packet_t p = 0; p < packets; ++p) {
+        fill_canonical({base + std::size_t{p} * stride, stride}, p);
+    }
+    base_ = base;
+}
+
+std::shared_ptr<const BlockArena> shared_block_arena(packet_t packets,
+                                                     std::size_t stride) {
+    static std::mutex mutex;
+    static std::map<std::pair<std::size_t, packet_t>,
+                    std::weak_ptr<const BlockArena>>
+        live;
+    const std::lock_guard lock(mutex);
+    std::shared_ptr<const BlockArena> arena = live[{stride, packets}].lock();
+    if (arena == nullptr) {
+        std::erase_if(live, [](const auto& kv) { return kv.second.expired(); });
+        arena = std::make_shared<const BlockArena>(packets, stride);
+        live[{stride, packets}] = arena;
+    }
+    return arena;
+}
+
 PlanFootprint Plan::footprint() const noexcept {
     PlanFootprint f;
     f.actions = vec_bytes(act_channel) + vec_bytes(act_slot) +
@@ -70,7 +99,7 @@ PlanFootprint Plan::footprint() const noexcept {
               vec_bytes(slot_vals);
     f.channels = vec_bytes(channel_ep) + vec_bytes(node_out_ports) +
                  vec_bytes(node_in_ports) + vec_bytes(node_owner);
-    f.arena = vec_bytes(arena);
+    f.arena = std::uint64_t{packet_count} * arena_stride * sizeof(double);
     return f;
 }
 
@@ -226,9 +255,17 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
 
     // Dependency edges over lowered indices; recv endpoints are tagged
     // with kRecvBit and decoded to interleaved action ids at CSR build.
+    // A one-worker plan only ever runs the serial lowered-order walk, which
+    // is itself a topological order of the graph, so it gets none.
     static constexpr std::uint32_t kRecvBit = std::uint32_t{1} << 31;
+    const bool dataflow = workers > 1;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(sends.size() * 3);
+    edges.reserve(dataflow ? sends.size() * 3 : 0);
+    const auto edge = [&](std::uint32_t from, std::uint32_t to) {
+        if (dataflow) {
+            edges.emplace_back(from, to);
+        }
+    };
 
     for (const sim::ScheduledSend& send : sends) {
         if (send.from >= count || send.to >= count) [[unlikely]] {
@@ -307,20 +344,19 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
             // (the SPSC protocol's one-producer / one-consumer guarantee,
             // recovered by edges once work-stealing removes ownership).
             const std::uint32_t prev = chan_sends[channel].back();
-            edges.emplace_back(prev, l);
-            edges.emplace_back(prev | kRecvBit, l | kRecvBit);
+            edge(prev, l);
+            edge(prev | kRecvBit, l | kRecvBit);
         }
         if (seq >= plan.async_depth) {
             // Capacity: the seq-th push needs the (seq-depth)-th pop to
             // have freed its ring slot.
-            edges.emplace_back(
-                chan_sends[channel][seq - plan.async_depth] | kRecvBit, l);
+            edge(chan_sends[channel][seq - plan.async_depth] | kRecvBit, l);
         }
         if (mode == DataMode::move) {
             // Availability: forwarding waits on the receive that produced
             // the source slot; seeds have no producer.
             if (slot_producer[src_slot] != kNoProducer) {
-                edges.emplace_back(slot_producer[src_slot] | kRecvBit, l);
+                edge(slot_producer[src_slot] | kRecvBit, l);
             }
         } else {
             // A combining send transmits the partial sum of its own seed
@@ -339,14 +375,14 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
                 --a;
             }
             if (a < arrivals.size()) {
-                edges.emplace_back(l, arrivals[a] | kRecvBit);
+                edge(l, arrivals[a] | kRecvBit);
             }
             if (a > 0) {
-                edges.emplace_back(arrivals[a - 1] | kRecvBit, l);
+                edge(arrivals[a - 1] | kRecvBit, l);
             }
         }
         // Data: the receive drains exactly its channel's seq-th push.
-        edges.emplace_back(l, l | kRecvBit);
+        edge(l, l | kRecvBit);
         if (mode == DataMode::combine) {
             // Accumulation into one slot happens in channel-sequence
             // (lowered) order, and only after every send that reads the
@@ -355,11 +391,10 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
             // those since then need direct edges — drained here, which
             // keeps total edge emission linear in the schedule size.
             if (!slot_recvs[dst_slot].empty()) {
-                edges.emplace_back(slot_recvs[dst_slot].back() | kRecvBit,
-                                   l | kRecvBit);
+                edge(slot_recvs[dst_slot].back() | kRecvBit, l | kRecvBit);
             }
             for (const std::uint32_t s2 : slot_sends[dst_slot]) {
-                edges.emplace_back(s2, l | kRecvBit);
+                edge(s2, l | kRecvBit);
             }
             slot_sends[dst_slot].clear();
             slot_recvs[dst_slot].push_back(l);
@@ -414,16 +449,8 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     // ---- immutable block arena (move mode) ----------------------------
     if (mode == DataMode::move) {
         plan.arena_stride = (block_elems + 7) & ~std::size_t{7};
-        plan.arena.resize(
-            std::size_t{schedule.packet_count} * plan.arena_stride + 7);
-        const auto raw = reinterpret_cast<std::uintptr_t>(plan.arena.data());
-        double* base =
-            reinterpret_cast<double*>(raw + ((0u - raw) & 63u));
-        for (packet_t p = 0; p < schedule.packet_count; ++p) {
-            fill_canonical(
-                {base + std::size_t{p} * plan.arena_stride, block_elems},
-                p);
-        }
+        plan.arena =
+            shared_block_arena(schedule.packet_count, plan.arena_stride);
     }
 
     // ---- lowered actions: SoA streams + dependency CSR ----------------
@@ -473,25 +500,27 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         }
     }
 
-    HCUBE_ENSURE(edges.size() < ~std::uint32_t{0});
-    const auto decode = [](std::uint32_t id) {
-        return (id & kRecvBit) != 0 ? ((id & ~kRecvBit) << 1) | 1u
-                                    : id << 1;
-    };
-    plan.dep_count.assign(std::size_t{2} * S, 0);
-    plan.succ_begin.assign(std::size_t{2} * S + 1, 0);
-    for (const auto& [from, to] : edges) {
-        ++plan.dep_count[decode(to)];
-        ++plan.succ_begin[decode(from) + 1];
-    }
-    for (std::size_t a = 1; a <= std::size_t{2} * S; ++a) {
-        plan.succ_begin[a] += plan.succ_begin[a - 1];
-    }
-    plan.succ.resize(edges.size());
-    std::vector<std::uint32_t> cursor(plan.succ_begin.begin(),
-                                      plan.succ_begin.end() - 1);
-    for (const auto& [from, to] : edges) {
-        plan.succ[cursor[decode(from)]++] = decode(to);
+    if (dataflow) {
+        HCUBE_ENSURE(edges.size() < ~std::uint32_t{0});
+        const auto decode = [](std::uint32_t id) {
+            return (id & kRecvBit) != 0 ? ((id & ~kRecvBit) << 1) | 1u
+                                        : id << 1;
+        };
+        plan.dep_count.assign(std::size_t{2} * S, 0);
+        plan.succ_begin.assign(std::size_t{2} * S + 1, 0);
+        for (const auto& [from, to] : edges) {
+            ++plan.dep_count[decode(to)];
+            ++plan.succ_begin[decode(from) + 1];
+        }
+        for (std::size_t a = 1; a <= std::size_t{2} * S; ++a) {
+            plan.succ_begin[a] += plan.succ_begin[a - 1];
+        }
+        plan.succ.resize(edges.size());
+        std::vector<std::uint32_t> cursor(plan.succ_begin.begin(),
+                                          plan.succ_begin.end() - 1);
+        for (const auto& [from, to] : edges) {
+            plan.succ[cursor[decode(from)]++] = decode(to);
+        }
     }
 
     // ---- CSR bucketing by (cycle, worker) -----------------------------

@@ -11,17 +11,18 @@
 //
 // For the dataflow AsyncPlayer the compiler additionally stamps every
 // action with its channel sequence number (the k-th push/pop on a channel)
-// and emits an explicit dependency graph over the 2·S actions of the
-// lowered schedule: a send waits on the receive that produced its source
-// slot (or nothing, if seeded), on the previous push of its channel (ring
-// order), and on the pop that frees its ring slot (capacity); a receive
-// waits on its channel's k-th push and on the previous pop of its channel;
-// combine mode adds the slot-ordering edges that serialize elementwise
-// accumulation in channel-sequence order and run every same-cycle send
-// before the accumulations it must not observe. Every edge points forward in
-// (cycle, send-before-receive, lowered index) order, so a plan that
-// compiles is a DAG — executable without deadlock by any engine that runs
-// ready actions eventually.
+// and, for plans of two or more workers, emits an explicit dependency
+// graph over the 2·S actions of the lowered schedule: a send waits on the
+// receive that produced its source slot (or nothing, if seeded), on the
+// previous push of its channel (ring order), and on the pop that frees its
+// ring slot (capacity); a receive waits on its channel's k-th push and on
+// the previous pop of its channel; combine mode adds the slot-ordering
+// edges that serialize elementwise accumulation in channel-sequence order
+// and run every same-cycle send before the accumulations it must not
+// observe. Every edge points forward in (cycle, send-before-receive,
+// lowered index) order, so a plan that compiles is a DAG — executable
+// without deadlock by any engine that runs ready actions eventually. A
+// one-worker plan needs no graph: that order is the serial walk itself.
 //
 // Plan encoding (two layouts, selected at compile_plan time):
 //
@@ -58,6 +59,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -111,22 +113,56 @@ struct ActionFields {
     std::uint32_t seq;
 };
 
-/// Exact heap footprint of one compiled plan, itemized by concern. Every
-/// count is in bytes and accounts vector capacity (compile_plan trims the
-/// growth slack), so the total is what the plan actually pins resident —
-/// the quantity the byte-budgeted svc plan cache charges per entry.
+/// Heap footprint of one compiled plan, itemized by concern. Every count
+/// is in bytes and accounts vector capacity (compile_plan trims the growth
+/// slack), so the total is what the plan pins resident — exactly, except
+/// that an arena shared by several plans is charged to each — and the
+/// quantity the byte-budgeted svc plan cache charges per entry.
 struct PlanFootprint {
     std::uint64_t actions = 0;   ///< SoA streams + wide flat AoS mirrors
     std::uint64_t dep_graph = 0; ///< dep counters + successor CSR
     std::uint64_t buckets = 0;   ///< bucket orders/mirrors + cycle CSR
     std::uint64_t slots = 0;     ///< slot tables, lookup keys, seed list
     std::uint64_t channels = 0;  ///< packed endpoints + port bitmaps
-    std::uint64_t arena = 0;     ///< immutable canonical blocks
+    /// The arena's canonical blocks (packet_count x stride doubles). Plans
+    /// of one shape share an arena, so the sum of this item over many
+    /// plans bounds the real arena bytes from above.
+    std::uint64_t arena = 0;
 
     [[nodiscard]] std::uint64_t total() const noexcept {
         return actions + dep_graph + buckets + slots + channels + arena;
     }
 };
+
+/// Immutable canonical blocks for packets [0, packets()), each padded to
+/// `stride` doubles and 64-byte aligned so consecutive blocks never share
+/// a cache line. Written once at construction.
+class BlockArena {
+public:
+    BlockArena(packet_t packets, std::size_t stride);
+
+    [[nodiscard]] packet_t packets() const noexcept { return packets_; }
+    [[nodiscard]] const double* block(packet_t packet) const noexcept {
+        return base_ + std::size_t{packet} * stride_;
+    }
+    /// Every element of every block, padding included.
+    [[nodiscard]] std::span<const double> elements() const noexcept {
+        return {base_, std::size_t{packets_} * stride_};
+    }
+
+private:
+    std::vector<double> data_; ///< over-allocated by 7 for alignment
+    const double* base_;
+    std::size_t stride_;
+    packet_t packets_;
+};
+
+/// The process-wide arena of `packets` canonical blocks at `stride`: the
+/// live one when a plan already holds it, else a new one. Sharing only
+/// identical arenas keeps every live arena charged in full to each plan
+/// that holds it (PlanFootprint::arena). Thread-safe.
+[[nodiscard]] std::shared_ptr<const BlockArena>
+shared_block_arena(packet_t packets, std::size_t stride);
 
 struct Plan {
     dim_t n = 0;
@@ -166,23 +202,18 @@ struct Plan {
     std::vector<std::uint32_t> seeded_slots;
 
     // ---- immutable block arena (move mode) ----------------------------
-    /// One canonical block per packet, written once at compile time and
-    /// immutable thereafter: the backing store every zero-copy descriptor
-    /// in a move-mode run points into. Blocks are padded to `arena_stride`
-    /// elements so consecutive blocks never share a cache line. Empty in
-    /// combine mode (slots there are mutable accumulators, not views).
-    std::vector<double> arena;
+    /// The canonical blocks of packets [0, packet_count): the backing store
+    /// every zero-copy descriptor in a move-mode run points into. A
+    /// canonical block depends only on its packet id, so every move-mode
+    /// plan with the same packet count and stride shares one arena (see
+    /// shared_block_arena). Null in combine mode (slots there are mutable
+    /// accumulators, not views).
+    std::shared_ptr<const BlockArena> arena;
     std::size_t arena_stride = 0; ///< block_elems rounded up to 8 doubles
 
-    /// 64-byte-aligned start of packet 0's block (the vector is over-
-    /// allocated by up to 7 doubles of alignment slack).
-    [[nodiscard]] const double* arena_base() const noexcept {
-        const auto p = reinterpret_cast<std::uintptr_t>(arena.data());
-        return reinterpret_cast<const double*>(p + ((0u - p) & 63u));
-    }
     /// The canonical arena block for `packet` (move mode only).
     [[nodiscard]] const double* arena_block(packet_t packet) const noexcept {
-        return arena_base() + std::size_t{packet} * arena_stride;
+        return arena->block(packet);
     }
 
     // ---- channels ------------------------------------------------------
@@ -259,13 +290,14 @@ struct Plan {
     std::uint32_t async_depth = 0;
     /// Per action id: number of incoming dependency edges (0 = initially
     /// ready), and the CSR successor lists the engine decrements on
-    /// completion.
+    /// completion. Empty on one-worker plans, which only ever run the
+    /// serial lowered-order walk (itself a topological order of the graph).
     std::vector<std::uint32_t> dep_count;
     std::vector<std::uint32_t> succ_begin; ///< size 2·S + 1
     std::vector<std::uint32_t> succ;
 
     [[nodiscard]] std::uint32_t action_count() const noexcept {
-        return static_cast<std::uint32_t>(dep_count.size());
+        return static_cast<std::uint32_t>(act_channel.size());
     }
     [[nodiscard]] std::uint32_t lowered_count() const noexcept {
         return action_count() / 2;

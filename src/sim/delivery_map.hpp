@@ -62,6 +62,12 @@ public:
     /// Number of (node, packet) pairs with a recorded cycle (sparse mode);
     /// in dense mode, the number of cells written via set().
     [[nodiscard]] std::size_t entry_count() const noexcept { return entries_; }
+    /// Heap bytes the map keeps allocated (either representation).
+    [[nodiscard]] std::uint64_t resident_bytes() const noexcept {
+        return std::uint64_t{cells_.capacity()} * sizeof(std::uint32_t) +
+               std::uint64_t{keys_.capacity()} * sizeof(std::uint64_t) +
+               std::uint64_t{values_.capacity()} * sizeof(std::uint32_t);
+    }
 
     /// First cycle after which `node` holds `packet`; kNever if it never
     /// does. Unchecked hot-path accessor: both indices must be in range.

@@ -137,7 +137,7 @@ class Service {
     /// while the dispatcher is mid-batch.
     [[nodiscard]] Counters counters() const noexcept;
 
-    /// The persistent execution context (selector, plan cache, pool).
+    /// The persistent execution context (selector, plan cache).
     [[nodiscard]] Session& session() noexcept { return session_; }
     [[nodiscard]] const Session& session() const noexcept {
         return session_;

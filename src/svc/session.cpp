@@ -6,8 +6,6 @@
 #include "rt/checksum.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
-#include "rt/pool.hpp"
-#include "rt/threads.hpp"
 #include "sim/cycle.hpp"
 
 #include <cstring>
@@ -245,6 +243,12 @@ void sync_monotonic(obs::Counter& c,
     }
 }
 
+/// Heap bytes of a schedule's send list and holder table.
+std::uint64_t schedule_bytes(const sim::Schedule& s) noexcept {
+    return std::uint64_t{s.sends.capacity()} * sizeof(sim::ScheduledSend) +
+           std::uint64_t{s.initial_holder.capacity()} * sizeof(node_t);
+}
+
 } // namespace
 
 /// One cached signature: the generated schedules, the compiled plan, the
@@ -252,6 +256,8 @@ void sync_monotonic(obs::Counter& c,
 /// compared against. Heap-allocated and shared_ptr-held so an eviction
 /// while another thread executes the entry only drops a reference.
 struct Session::PlanEntry {
+    // ---- full-check state: read only by full (first-principles) checks,
+    // released once Verify::first reaches its steady state --------------
     GeneratedSchedule gen;
     /// Live members the schedule spans, ascending — populated only when
     /// the signature's sub-cube view was incomplete (empty = full cube,
@@ -259,6 +265,9 @@ struct Session::PlanEntry {
     /// member-aware combine verification and the plan's worker partition.
     std::vector<node_t> members;
     sim::CycleStats sim_stats; ///< of gen.feasibility (makespan + holdings)
+
+    std::uint64_t send_count = 0; ///< gen.exec.sends.size()
+    std::uint32_t makespan = 0;   ///< sim_stats.makespan
     std::unique_ptr<rt::Plan> plan;
     /// Barrier engine: the executor under Engine::barrier; under
     /// Engine::async the oracle, dropped after the first verified pass
@@ -271,14 +280,19 @@ struct Session::PlanEntry {
     std::vector<double> oracle_image;
     std::uint64_t oracle_fingerprint = 0; ///< move mode, arena-derived
     bool image_valid = false; ///< first verified pass has happened
+    /// Bytes the byte-budgeted cache currently charges this entry; an
+    /// execution that changes resident_bytes() re-prices it.
+    std::uint64_t charged_bytes = 0;
     /// Serializes executions of this entry (the players hold mutable run
-    /// state); distinct entries only contend on the worker pool.
+    /// state); distinct entries run in parallel.
     std::mutex exec_mutex;
 
     /// Exact bytes this entry keeps resident — the cost the byte-budgeted
-    /// plan cache charges it. Itemized: the compiled plan (actions, dep
-    /// graph, buckets, slots, channels, arena), each resident player's run
-    /// state, and the combine-mode oracle image.
+    /// plan cache charges it. Itemized: the compiled plan (actions,
+    /// buckets, slots, channels, its share of the arena; one-worker plans
+    /// carry no dep graph), each resident player's run state (the async
+    /// player's rings only once a play has needed them), the combine-mode
+    /// oracle image, and the full-check state while it is held.
     [[nodiscard]] std::uint64_t resident_bytes() const {
         std::uint64_t bytes = plan->resident_bytes();
         if (async != nullptr) {
@@ -289,16 +303,22 @@ struct Session::PlanEntry {
         }
         bytes += std::uint64_t{oracle_image.capacity()} * sizeof(double);
         bytes += std::uint64_t{members.capacity()} * sizeof(node_t);
+        bytes += schedule_bytes(gen.exec) + schedule_bytes(gen.feasibility) +
+                 sim_stats.delivery_cycle.resident_bytes();
         return bytes;
+    }
+
+    /// Frees everything only full checks read, keeping the two scalars the
+    /// steady state still compares against.
+    void release_full_check_state() {
+        gen = {};
+        members = {};
+        sim_stats = {};
     }
 };
 
 Session::Session(dim_t n, SessionParams params)
-    : n_(n), params_(params),
-      threads_(rt::pick_worker_threads(n, params.threads)),
-      byte_budget_(params.plan_cache_bytes != 0),
-      pool_(threads_ > 1 ? std::make_unique<rt::WorkerPool>(threads_)
-                         : nullptr),
+    : n_(n), params_(params), byte_budget_(params.plan_cache_bytes != 0),
       selector_(params_.comm ? *params_.comm : calibrate()),
       cache_(byte_budget_ ? params_.plan_cache_bytes
                           : params_.plan_cache_capacity),
@@ -370,13 +390,15 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
         // model and pins the makespan + delivery matrix (for reduce:
         // of the forward broadcast, which time-reversal preserves).
         e->sim_stats = sim::execute_schedule(e->gen.feasibility, sig.model);
-        // A signature never spreads over more workers than it has live
-        // nodes (the plan compiler's partition balances workers over the
-        // member set).
-        const std::uint32_t workers = std::min(threads_, sub.count());
+        e->send_count = e->gen.exec.sends.size();
+        e->makespan = e->sim_stats.makespan;
+        // One worker, ring depth 1: the serial walk retires all of a
+        // cycle's sends before its receives and a directed link carries at
+        // most one block per cycle, so one ring slot per link is exact.
         e->plan = std::make_unique<rt::Plan>(
             rt::compile_plan(e->gen.exec, e->gen.mode, sig.block_elems,
-                             workers, 8, params_.plan_layout, e->members));
+                             /*workers=*/1, /*async_depth=*/1,
+                             params_.plan_layout, e->members));
         if (params_.engine == rt::Engine::async) {
             e->async = std::make_unique<rt::AsyncPlayer>(*e->plan);
         }
@@ -386,6 +408,7 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
                 std::make_unique<rt::Player>(*e->plan,
                                              params_.channel_capacity);
         }
+        e->charged_bytes = e->resident_bytes();
         return e;
     };
     auto entry =
@@ -393,7 +416,7 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
             ? cache_.get_or_create(
                   sig, factory,
                   [](const std::shared_ptr<PlanEntry>& e) {
-                      return e->resident_bytes();
+                      return e->charged_bytes;
                   })
             : cache_.get_or_create(sig, factory);
     cache_hit = !built;
@@ -429,9 +452,9 @@ ExecStats Session::execute(const Signature& sig) {
     const std::lock_guard<std::mutex> lock(entry->exec_mutex);
 
     const rt::Plan& plan = *entry->plan;
-    const sim::Schedule& exec = entry->gen.exec;
-    const bool combining = entry->gen.mode == rt::DataMode::combine;
-    out.sim_makespan = entry->sim_stats.makespan;
+    const sim::Schedule& exec = entry->gen.exec; // full checks only
+    const bool combining = plan.mode == rt::DataMode::combine;
+    out.sim_makespan = entry->makespan;
 
     // Under Verify::first the full oracle pass runs until it has succeeded
     // once for this entry; afterwards (image_valid) runs take the
@@ -443,8 +466,8 @@ ExecStats Session::execute(const Signature& sig) {
 
     const auto structural_checks = [&](const auto& player,
                                        const rt::PlayStats& stats) {
-        bool ok = stats.clean() &&
-                  stats.blocks_delivered == exec.sends.size();
+        bool ok =
+            stats.clean() && stats.blocks_delivered == entry->send_count;
         if (!full_check && entry->image_valid) {
             // Steady state: combine entries byte-compare against the
             // oracle image of the first verified execution; move entries
@@ -476,10 +499,10 @@ ExecStats Session::execute(const Signature& sig) {
 
     bool ok = true;
     if (params_.engine == rt::Engine::barrier) {
-        const rt::PlayStats stats = entry->barrier->play(pool_.get());
+        const rt::PlayStats stats = entry->barrier->play();
         // The barrier engine is its own oracle: its barriered cycle count
         // must equal the cycle-model makespan.
-        ok = stats.cycles == entry->sim_stats.makespan &&
+        ok = stats.cycles == entry->makespan &&
              structural_checks(*entry->barrier, stats);
         out.rt_cycles = stats.cycles;
         out.blocks_delivered = stats.blocks_delivered;
@@ -499,12 +522,12 @@ ExecStats Session::execute(const Signature& sig) {
     } else {
         rt::PlayStats ref_stats;
         if (full_check && entry->barrier != nullptr) {
-            ref_stats = entry->barrier->play(pool_.get());
+            ref_stats = entry->barrier->play();
             ok = ref_stats.clean() &&
-                 ref_stats.blocks_delivered == exec.sends.size() &&
-                 ref_stats.cycles == entry->sim_stats.makespan;
+                 ref_stats.blocks_delivered == entry->send_count &&
+                 ref_stats.cycles == entry->makespan;
         }
-        const rt::PlayStats stats = entry->async->play(pool_.get());
+        const rt::PlayStats stats = entry->async->play();
         ok = ok && structural_checks(*entry->async, stats);
         if (full_check && entry->barrier != nullptr) {
             ok = ok && identical_memory(plan, *entry->barrier, *entry->async);
@@ -524,17 +547,22 @@ ExecStats Session::execute(const Signature& sig) {
             }
             entry->image_valid = true;
             if (params_.verify == rt::Verify::first) {
-                // Steady state never re-runs the oracle; free its memory.
+                // Steady state never re-runs the oracle or a full check;
+                // free their memory.
                 entry->barrier.reset();
+                entry->release_full_check_state();
             }
         }
     }
     out.verified = ok;
     out.plan_resident_bytes = entry->resident_bytes();
-    // The first verified pass changes what the entry keeps resident (the
-    // oracle player is dropped, the combine image materializes); re-price
-    // it so the byte budget stays exact.
-    if (byte_budget_ && full_check) {
+    // Executions change what the entry keeps resident (the first verified
+    // pass drops the oracle player and the full-check state and
+    // materializes the combine image; the first play that needs rings
+    // builds them); re-price it whenever that happens so the byte budget
+    // stays exact.
+    if (byte_budget_ && out.plan_resident_bytes != entry->charged_bytes) {
+        entry->charged_bytes = out.plan_resident_bytes;
         cache_.update_cost(keyed, out.plan_resident_bytes);
     }
     static obs::Gauge& m_resident =
@@ -613,10 +641,6 @@ std::size_t Session::cached_plans() const { return cache_.size(); }
 
 std::uint64_t Session::cache_resident_bytes() const {
     return cache_.total_cost();
-}
-
-std::uint64_t Session::pool_jobs() const {
-    return pool_ ? pool_->jobs_run() : 0;
 }
 
 } // namespace hcube::svc

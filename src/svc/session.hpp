@@ -1,13 +1,17 @@
 // svc::Session — the persistent execution context of the collective
-// service: one resident worker pool, one compiled-plan cache, one set of
-// calibrated machine constants, shared across every operation submitted for
-// the session's lifetime.
+// service: one compiled-plan cache and one set of calibrated machine
+// constants, shared across every operation submitted for the session's
+// lifetime.
 //
 // Where rt::Communicator recompiles the schedule and reallocates player
-// memory on every call (its pool already persists — PR 5's satellite), the
-// Session also caches the *compiled plan and its players*: a cache hit
-// replays the resident AsyncPlayer (or barrier Player) on the resident
-// pool, touching no allocator and no schedule generator. Verification in
+// memory on every call, the Session caches the *compiled plan and its
+// players*: a cache hit replays the resident AsyncPlayer (or barrier
+// Player) on the calling thread, touching no allocator and no schedule
+// generator. Every plan compiles for one worker, so every play is the
+// serial lowered-order walk: a zero-copy hop is a pointer assignment, and
+// a single collective has no per-hop work worth splitting across threads.
+// Concurrency lives at the request level instead — distinct signatures
+// execute in parallel on their callers' threads. Verification in
 // the cached steady state stays byte-exact without re-running the barrier
 // oracle: combine-mode entries byte-compare against the oracle image
 // snapshotted on the entry's first (fully oracle-checked) execution, and
@@ -33,15 +37,9 @@
 #include <optional>
 #include <shared_mutex>
 
-namespace hcube::rt {
-class WorkerPool;
-}
-
 namespace hcube::svc {
 
 struct SessionParams {
-    /// Worker threads; 0 picks min(2^n, max(2, hardware_concurrency)).
-    std::uint32_t threads = 0;
     /// Compiled plans (and their players) kept resident; 0 = unbounded.
     /// Entry-count mode, used only while plan_cache_bytes is 0.
     std::size_t plan_cache_capacity = 32;
@@ -93,8 +91,9 @@ struct ExecStats {
     /// session; netd reports its serving endpoint's transport instead).
     ft::TransportClass transport = ft::TransportClass::ring;
     /// Exact bytes this signature's cache entry keeps resident after the
-    /// run (compiled plan + players + oracle image) — the cost the
-    /// byte-budgeted cache charges it.
+    /// run (compiled plan + players + oracle image, plus the schedules and
+    /// delivery matrix full checks read until Verify::first's steady state
+    /// drops them) — the cost the byte-budgeted cache charges it.
     std::uint64_t plan_resident_bytes = 0;
     double seconds = 0; ///< wall clock of the reported engine's play()
     /// Member-set epoch the plan was keyed on (the signature sub-cube's
@@ -112,20 +111,23 @@ class Session {
     Session& operator=(const Session&) = delete;
 
     [[nodiscard]] dim_t dimension() const noexcept { return n_; }
-    [[nodiscard]] std::uint32_t threads() const noexcept { return threads_; }
+    /// Worker threads a play spans: always 1 — every collective runs the
+    /// serial walk on the thread that called execute().
+    [[nodiscard]] static constexpr std::uint32_t threads() noexcept {
+        return 1;
+    }
 
     /// Validates `sig` against the current membership view (see
     /// preflight), fetches or compiles its plan entry, executes it on the
-    /// resident pool, and verifies per the session's Verify policy.
-    /// Accepts any sub-cube dimension 1 <= sig.n <= n (plans for smaller
-    /// cubes clamp their worker count to the sub-cube's live member
-    /// count), so one session can serve a mixed-dimension signature
-    /// population; on an incomplete sub-cube the schedule spans exactly
-    /// the live members. Throws rejected_error (with the structured
-    /// Rejection) when preflight refuses the signature. Thread-safe;
-    /// concurrent executions of the same signature serialize on the
-    /// entry, distinct signatures only contend on the pool; membership
-    /// transitions wait for in-flight executions to drain.
+    /// calling thread, and verifies per the session's Verify policy.
+    /// Accepts any sub-cube dimension 1 <= sig.n <= n, so one session can
+    /// serve a mixed-dimension signature population; on an incomplete
+    /// sub-cube the schedule spans exactly the live members. Throws
+    /// rejected_error (with the structured Rejection) when preflight
+    /// refuses the signature. Thread-safe; concurrent executions of the
+    /// same signature serialize on the entry, distinct signatures run in
+    /// parallel; membership transitions wait for in-flight executions to
+    /// drain.
     [[nodiscard]] ExecStats execute(const Signature& sig);
 
     /// Why `sig` would be refused against the current view, or nullopt if
@@ -174,8 +176,6 @@ class Session {
     /// bytes under a plan_cache_bytes budget, resident entry count in
     /// entry-count mode.
     [[nodiscard]] std::uint64_t cache_resident_bytes() const;
-    /// Jobs dispatched onto the resident pool (0 when single-threaded).
-    [[nodiscard]] std::uint64_t pool_jobs() const;
 
   private:
     struct PlanEntry;
@@ -191,9 +191,7 @@ class Session {
 
     dim_t n_;
     SessionParams params_;
-    std::uint32_t threads_;
     bool byte_budget_; ///< plan_cache_bytes != 0: cost-aware eviction
-    std::unique_ptr<rt::WorkerPool> pool_;
     AlgorithmSelector selector_;
     LruCache<Signature, std::shared_ptr<PlanEntry>> cache_;
     /// Guards view_: shared across an execution (plans compile against a

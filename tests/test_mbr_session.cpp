@@ -33,9 +33,8 @@ Signature sig_of(Op op, Family family, dim_t n, node_t root,
     return s;
 }
 
-SessionParams fast_session(std::uint32_t threads = 2) {
+SessionParams fast_session() {
     SessionParams p;
-    p.threads = threads;
     p.comm = synthetic;
     return p;
 }

@@ -34,7 +34,6 @@ Signature sig_of(Op op, Family family, dim_t n, node_t root,
 
 ServiceParams fast_service() {
     ServiceParams p;
-    p.session.threads = 2;
     p.session.comm = synthetic;
     return p;
 }
@@ -157,7 +156,6 @@ TEST(ObsSvc, AdmissionRejectCounts) {
 TEST(ObsSvc, SessionCacheMetricsTrackEvictions) {
     const obs::RegistrySnapshot base = obs::registry().snapshot();
     SessionParams params;
-    params.threads = 2;
     params.comm = synthetic;
     params.plan_cache_capacity = 2;
     Session session(3, params);

@@ -36,7 +36,6 @@ svc::Signature broadcast_sig(dim_t n, node_t root = 0) {
 
 NetdParams uds_params(const std::string& path) {
     NetdParams p;
-    p.service.session.threads = 2;
     p.service.session.comm = model::CommParams{1.0, 1e-6};
     p.endpoint = Endpoint::unix_path(path);
     return p;

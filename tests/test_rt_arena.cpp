@@ -91,16 +91,42 @@ TEST(RtArena, AsyncMovePlayForwardsViewsWithZeroCopies) {
 TEST(RtArena, ReplayLeavesTheArenaBitIdentical) {
     const Plan plan =
         compile_plan(broadcast_schedule(4, 4), DataMode::move, kBlock, 2);
-    const std::vector<double> before = plan.arena;
+    const std::span<const double> arena = plan.arena->elements();
+    const std::vector<double> before(arena.begin(), arena.end());
     AsyncPlayer player(plan);
     ASSERT_TRUE(player.play().clean());
     ASSERT_TRUE(player.play().clean());
     expect_all_views_in_arena(plan, player);
-    ASSERT_EQ(plan.arena.size(), before.size());
-    EXPECT_EQ(std::memcmp(plan.arena.data(), before.data(),
+    ASSERT_EQ(plan.arena->elements().size(), before.size());
+    EXPECT_EQ(std::memcmp(arena.data(), before.data(),
                           before.size() * sizeof(double)),
               0)
         << "a play mutated the immutable arena";
+}
+
+TEST(RtArena, MovePlansOfOneShapeShareOneArena) {
+    // Canonical blocks depend only on the packet id, so plans with the
+    // same packet count and stride view one arena, whatever their
+    // schedules; any other shape gets its own.
+    const Plan a =
+        compile_plan(broadcast_schedule(3, 4), DataMode::move, kBlock, 1);
+    const Plan b =
+        compile_plan(broadcast_schedule(4, 4), DataMode::move, kBlock, 2);
+    EXPECT_EQ(a.arena, b.arena);
+    EXPECT_EQ(a.arena_block(3), b.arena_block(3));
+    EXPECT_EQ(b.arena->packets(), 4u);
+    for (sim::packet_t p = 0; p < 4; ++p) {
+        EXPECT_EQ(block_checksum({b.arena_block(p), kBlock}),
+                  canonical_checksum(p, kBlock))
+            << "packet " << p;
+    }
+    EXPECT_EQ(b.footprint().arena, 4 * b.arena_stride * sizeof(double));
+    const Plan more =
+        compile_plan(broadcast_schedule(3, 5), DataMode::move, kBlock, 1);
+    EXPECT_NE(more.arena, a.arena);
+    const Plan wider = compile_plan(broadcast_schedule(3, 4),
+                                    DataMode::move, kBlock + 8, 1);
+    EXPECT_NE(wider.arena, a.arena);
 }
 
 TEST(RtArena, CombinePlansUseDistinctAccumulatorStorage) {
@@ -111,7 +137,7 @@ TEST(RtArena, CombinePlansUseDistinctAccumulatorStorage) {
         compile_plan(reduction, DataMode::combine, kBlock, 2);
     // Combine mode has no arena: accumulators mutate in place, so a view
     // of another node's slot would go stale mid-flight.
-    EXPECT_TRUE(plan.arena.empty());
+    EXPECT_EQ(plan.arena, nullptr);
     Player player(plan);
     const PlayStats stats = player.play();
     ASSERT_TRUE(stats.clean());
@@ -163,7 +189,6 @@ TEST(RtArena, FaultHookForcesCopyThroughAndClearingRestoresZeroCopy) {
 
 TEST(SvcArena, CachedPlanReplaysStayVerifiedAndZeroCopy) {
     svc::SessionParams params;
-    params.threads = 2;
     svc::Session session(4, params);
     const svc::Signature sig{svc::Op::broadcast, svc::Family::sbt, 4, 0, 4,
                              kBlock, PortModel::one_port_full_duplex};

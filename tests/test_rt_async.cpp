@@ -36,7 +36,11 @@ using sim::Schedule;
 constexpr std::size_t kBlock = 8;
 
 /// Runs `schedule` through both engines and asserts clean stats plus a
-/// byte-identical final memory image, slot by slot.
+/// byte-identical final memory image, slot by slot. Besides the
+/// `threads`-worker async run, every call also checks the service's
+/// configuration — one worker, ring depth 1 — over both serial walks: the
+/// ring-free view-assignment walk, and the ring protocol (forced by arming
+/// detection), which proves depth-1 rings exact.
 void expect_engines_agree(const Schedule& schedule, DataMode mode,
                           std::uint32_t threads,
                           const std::string& label) {
@@ -49,24 +53,45 @@ void expect_engines_agree(const Schedule& schedule, DataMode mode,
     EXPECT_EQ(ref.channel_faults, 0u);
     EXPECT_EQ(ref.blocks_delivered, schedule.sends.size());
 
+    const auto expect_oracle_memory = [&](const AsyncPlayer& dut) {
+        for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+            const node_t node = plan.slot_node[s];
+            const packet_t packet = plan.slot_packet[s];
+            const auto a = barrier_player.block(node, packet);
+            const auto b = dut.block(node, packet);
+            ASSERT_EQ(a.size(), b.size());
+            ASSERT_EQ(std::memcmp(a.data(), b.data(),
+                                  a.size() * sizeof(double)),
+                      0)
+                << "final memory diverges at slot " << s << " (node "
+                << node << ", packet " << packet << ")";
+        }
+    };
+
     AsyncPlayer async_player(plan);
     const PlayStats dut = async_player.play();
     EXPECT_TRUE(dut.clean());
     EXPECT_EQ(dut.channel_faults, 0u);
     EXPECT_EQ(dut.blocks_delivered, schedule.sends.size());
+    expect_oracle_memory(async_player);
 
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const auto a =
-            barrier_player.block(plan.slot_node[s], plan.slot_packet[s]);
-        const auto b =
-            async_player.block(plan.slot_node[s], plan.slot_packet[s]);
-        ASSERT_EQ(a.size(), b.size());
-        ASSERT_EQ(std::memcmp(a.data(), b.data(),
-                              a.size() * sizeof(double)),
-                  0)
-            << "final memory diverges at slot " << s << " (node "
-            << plan.slot_node[s] << ", packet " << plan.slot_packet[s]
-            << ")";
+    const Plan one = compile_plan(schedule, mode, kBlock, 1, 1);
+    for (const bool ring_walk : {false, true}) {
+        SCOPED_TRACE(ring_walk ? "one worker, depth-1 rings"
+                               : "one worker, ring-free walk");
+        AsyncPlayer serial_player(one);
+        if (ring_walk) {
+            ft::DetectConfig detect;
+            detect.arrival_timeout_us = 2'000;
+            serial_player.set_detection(detect);
+        }
+        const PlayStats st = serial_player.play();
+        EXPECT_EQ(st.mode, ExecMode::serial);
+        EXPECT_TRUE(st.clean());
+        EXPECT_EQ(st.blocks_delivered, schedule.sends.size());
+        EXPECT_EQ(serial_player.ring_bytes() > 0,
+                  ring_walk || mode == DataMode::combine);
+        expect_oracle_memory(serial_player);
     }
 }
 
@@ -213,6 +238,45 @@ TEST(RtAsyncVsBarrier, AsyncPlayerIsReusableAcrossRuns) {
     EXPECT_TRUE(second.clean());
     EXPECT_EQ(first.blocks_delivered, second.blocks_delivered);
     EXPECT_EQ(second.blocks_delivered, schedule.sends.size());
+}
+
+TEST(RtAsyncTuner, SecondPlayAlwaysProbesSerial) {
+    // The tuner never locks a mode without timing both: whatever the
+    // stealing probe measured — a low steal count included — the next play
+    // on a tuner-eligible plan (two or more workers, enough actions) is
+    // the serial probe.
+    const Schedule forward = routing::make_tree_broadcast(
+        trees::build_sbt(6, 0), BroadcastDiscipline::port_oriented, 3,
+        PortModel::one_port_full_duplex);
+    const struct {
+        Schedule schedule;
+        DataMode mode;
+    } cases[] = {
+        {routing::make_msbt_broadcast(6, 0, 12,
+                                      PortModel::one_port_full_duplex),
+         DataMode::move},
+        {routing::make_tree_scatter(trees::build_sbt(6, 0),
+                                    ScatterPolicy::descending, 2,
+                                    PortModel::one_port_full_duplex),
+         DataMode::move},
+        {routing::make_allgather_schedule(5), DataMode::move},
+        {routing::reverse_broadcast_for_reduce(forward, 0),
+         DataMode::combine},
+    };
+    for (const auto& c : cases) {
+        for (const std::uint32_t threads : {2u, 4u}) {
+            const Plan plan =
+                compile_plan(c.schedule, c.mode, kBlock, threads);
+            ASSERT_GE(plan.action_count(), 32u * threads); // tuner-eligible
+            AsyncPlayer player(plan);
+            const PlayStats first = player.play();
+            ASSERT_TRUE(first.clean());
+            EXPECT_EQ(first.mode, ExecMode::stealing);
+            const PlayStats second = player.play();
+            EXPECT_TRUE(second.clean());
+            EXPECT_EQ(second.mode, ExecMode::serial);
+        }
+    }
 }
 
 TEST(RtAsyncVsBarrier, RejectsRingShallowerThanPlanDepth) {

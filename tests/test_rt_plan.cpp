@@ -158,12 +158,14 @@ TEST(RtPlan, BucketsPartitionEverySendByCycleAndOwner) {
 }
 
 TEST(RtPlan, DepGraphChainHasExactEdges) {
-    // Two-hop chain, one worker: the send and receive of lowered hop l
-    // interleave as ids 2l and 2l+1, so the chain is send 0, recv 1,
-    // send 2, recv 3 in execution order. Expected edges: data 0 -> 1 and
-    // 2 -> 3, availability 1 -> 2 (the forward reads the slot the first
-    // receive produced). The seeded first send depends on nothing.
-    const Plan plan = compile_plan(two_hop_chain(), DataMode::move, 4, 1);
+    // Two-hop chain, two workers (the edges do not depend on the worker
+    // count; one-worker plans carry no graph at all): the send and receive
+    // of lowered hop l interleave as ids 2l and 2l+1, so the chain is
+    // send 0, recv 1, send 2, recv 3 in execution order. Expected edges:
+    // data 0 -> 1 and 2 -> 3, availability 1 -> 2 (the forward reads the
+    // slot the first receive produced). The seeded first send depends on
+    // nothing.
+    const Plan plan = compile_plan(two_hop_chain(), DataMode::move, 4, 2);
     ASSERT_EQ(plan.action_count(), 4u);
     EXPECT_TRUE(plan.is_send_action(0));
     EXPECT_FALSE(plan.is_send_action(1));
@@ -199,7 +201,7 @@ TEST(RtPlan, CapacityEdgesThrottleChannelReuseToRingDepth) {
     s.initial_holder = {0, 0, 0, 0};
     s.sends = {{0, 0, 1, 0}, {1, 0, 1, 1}, {2, 0, 1, 2}, {3, 0, 1, 3}};
     const Plan plan =
-        compile_plan(s, DataMode::move, 4, 1, /*async_depth=*/2);
+        compile_plan(s, DataMode::move, 4, 2, /*async_depth=*/2);
     EXPECT_EQ(plan.async_depth, 2u);
     // Interleaved (send k = id 2k, recv k = id 2k+1). Sends: seed, +ring,
     // then +ring+capacity twice. Recvs: +data, then +data+ring.
@@ -220,7 +222,7 @@ TEST(RtPlan, CombineSameCycleExchangeOrdersSendBeforeAccumulation) {
     s.packet_count = 1;
     s.initial_holder = {0};
     s.sends = {{0, 1, 0, 0}, {0, 0, 1, 0}};
-    const Plan plan = compile_plan(s, DataMode::combine, 4, 1);
+    const Plan plan = compile_plan(s, DataMode::combine, 4, 2);
     // Interleaved: hop 0 (1 -> 0) is ids {0, 1}, hop 1 (0 -> 1) is {2, 3}.
     ASSERT_EQ(plan.action_count(), 4u);
 
@@ -265,12 +267,12 @@ TEST(RtPlan, EveryDependencyEdgePointsForward) {
     };
     check(compile_plan(routing::make_msbt_broadcast(
                            4, 0, 8, sim::PortModel::one_port_full_duplex),
-                       DataMode::move, 2, 1));
+                       DataMode::move, 2, 2));
     const sim::Schedule forward = routing::make_tree_broadcast(
         trees::build_sbt(4, 0), routing::BroadcastDiscipline::port_oriented,
         3, sim::PortModel::one_port_full_duplex);
     check(compile_plan(routing::reverse_broadcast_for_reduce(forward, 0),
-                       DataMode::combine, 2, 1));
+                       DataMode::combine, 2, 2));
     // Recursive-doubling allreduce: every node both sends and receives the
     // same slot in every cycle, so the send-before-accumulation edges
     // (which run send -> receive *within* a cycle) appear everywhere.
@@ -284,7 +286,33 @@ TEST(RtPlan, EveryDependencyEdgePointsForward) {
                 {d, v, static_cast<node_t>(v ^ (node_t{1} << d)), 0});
         }
     }
-    check(compile_plan(allreduce, DataMode::combine, 2, 1));
+    check(compile_plan(allreduce, DataMode::combine, 2, 2));
+}
+
+TEST(RtPlan, OneWorkerPlanCarriesNoDependencyGraph) {
+    // A one-worker plan only ever runs the serial lowered-order walk, so
+    // the compiler emits no graph — in either mode, at any ring depth —
+    // while the action streams and the cycle CSR the walk reads stay.
+    const sim::Schedule forward = routing::make_tree_broadcast(
+        trees::build_sbt(4, 0), routing::BroadcastDiscipline::port_oriented,
+        3, sim::PortModel::one_port_full_duplex);
+    const Plan plans[] = {
+        compile_plan(forward, DataMode::move, 2, 1),
+        compile_plan(forward, DataMode::move, 2, 1, /*async_depth=*/1),
+        compile_plan(routing::reverse_broadcast_for_reduce(forward, 0),
+                     DataMode::combine, 2, 1, /*async_depth=*/1),
+    };
+    for (const Plan& plan : plans) {
+        EXPECT_TRUE(plan.dep_count.empty());
+        EXPECT_TRUE(plan.succ_begin.empty());
+        EXPECT_TRUE(plan.succ.empty());
+        EXPECT_EQ(plan.footprint().dep_graph, 0u);
+        EXPECT_EQ(plan.action_count(), 2 * forward.sends.size());
+        EXPECT_EQ(plan.flat_cycle_begin.back(), forward.sends.size());
+    }
+    // The same schedule at two workers does carry it.
+    const Plan two = compile_plan(forward, DataMode::move, 2, 2);
+    EXPECT_GT(two.footprint().dep_graph, 0u);
 }
 
 // ------------------------------------------------------- layout selection
@@ -444,9 +472,9 @@ TEST(RtPlanFootprint, ItemizedTotalsAndTrimmedCapacity) {
     // The SoA streams dominate `actions`: four u32 words per action.
     EXPECT_GE(f.actions, plan.action_count() * 16u);
     // The arena is the padded canonical blocks and nothing else.
-    EXPECT_EQ(f.arena, plan.arena.capacity() * sizeof(double));
-    EXPECT_GE(plan.arena.size(),
-              std::size_t{plan.packet_count} * plan.arena_stride);
+    EXPECT_EQ(f.arena,
+              plan.packet_count * plan.arena_stride * sizeof(double));
+    EXPECT_EQ(plan.arena->packets(), plan.packet_count);
 }
 
 /// Regression pins for the compact layout's resident footprint: per

@@ -7,6 +7,9 @@
 
 #include "common/check.hpp"
 #include "common/lru_cache.hpp"
+#include "rt/async_player.hpp"
+#include "rt/plan.hpp"
+#include "sim/cycle.hpp"
 #include "svc/selector.hpp"
 #include "svc/session.hpp"
 #include "svc/signature.hpp"
@@ -43,9 +46,8 @@ Signature sig_of(Op op, Family family, dim_t n, node_t root,
     return s;
 }
 
-SessionParams fast_session(std::uint32_t threads = 2) {
+SessionParams fast_session() {
     SessionParams p;
-    p.threads = threads;
     p.comm = synthetic; // skip calibration probes in unit tests
     return p;
 }
@@ -359,6 +361,7 @@ TEST(SvcSession, ExecutesEveryOpVerified) {
         EXPECT_FALSE(stats.cache_hit) << sig.to_string();
         EXPECT_TRUE(stats.oracle_checked) << sig.to_string();
         EXPECT_GT(stats.blocks_delivered, 0u) << sig.to_string();
+        EXPECT_EQ(stats.exec_mode, rt::ExecMode::serial) << sig.to_string();
     }
     EXPECT_EQ(session.cached_plans(), sigs.size());
 }
@@ -463,7 +466,7 @@ TEST(SvcSession, RejectsWrongDimension) {
 TEST(SvcSession, ServesMixedSubCubeDimensions) {
     // One session, one byte budget, signatures from 1-cube to 4-cube: the
     // residency story the byte-budgeted cache exists for.
-    Session session(4, fast_session(4));
+    Session session(4, fast_session());
     for (dim_t n = 1; n <= 4; ++n) {
         const ExecStats stats = session.execute(
             sig_of(Op::broadcast, Family::sbt, n, 0, 2, 16));
@@ -487,6 +490,63 @@ TEST(SvcSession, ReportsExactResidentBytes) {
     const ExecStats repeat = session.execute(a);
     EXPECT_TRUE(repeat.cache_hit);
     EXPECT_EQ(repeat.plan_resident_bytes, sa.plan_resident_bytes);
+
+    // Under a byte budget each entry is charged exactly its parts, rebuilt
+    // here independently: a one-worker, depth-1 plan and its async player
+    // after one play.
+    const auto parts = [](const Signature& sig, std::uint64_t& ring_bytes,
+                          std::uint64_t& dep_graph_bytes) {
+        const GeneratedSchedule gen = make_schedule(sig);
+        const rt::Plan plan =
+            rt::compile_plan(gen.exec, gen.mode, sig.block_elems, 1, 1);
+        rt::AsyncPlayer player(plan);
+        EXPECT_TRUE(player.play().clean());
+        ring_bytes = player.ring_bytes();
+        dep_graph_bytes = plan.footprint().dep_graph;
+        return plan.resident_bytes() + player.resident_bytes();
+    };
+    std::uint64_t rings = 0;
+    std::uint64_t dep_graph = 0;
+    SessionParams budget = fast_session();
+    budget.plan_cache_bytes = 64u << 20;
+    {
+        // A move-mode entry in steady state (the oracle player and the
+        // full-check state dropped after its first verified pass): plan
+        // and player only, with no rings and no dependency graph.
+        Session priced(3, budget);
+        (void)priced.execute(a);
+        const ExecStats steady = priced.execute(a);
+        EXPECT_TRUE(steady.verified);
+        EXPECT_EQ(steady.plan_resident_bytes, parts(a, rings, dep_graph));
+        EXPECT_EQ(rings, 0u);
+        EXPECT_EQ(dep_graph, 0u);
+        EXPECT_EQ(priced.cache_resident_bytes(), steady.plan_resident_bytes);
+    }
+    {
+        // A combine-mode entry under Verify::never runs no oracle, yet its
+        // first play builds the rings copy-through needs — and the cache
+        // charge follows. It keeps the full-check state (schedules and
+        // delivery matrix) its first-principles checks read every run.
+        budget.verify = rt::Verify::never;
+        Session priced(3, budget);
+        const ExecStats first = priced.execute(b);
+        EXPECT_TRUE(first.verified);
+        EXPECT_FALSE(first.oracle_checked);
+        const GeneratedSchedule gen = make_schedule(b);
+        const auto schedule_bytes = [](const sim::Schedule& sched) {
+            return sched.sends.capacity() * sizeof(sim::ScheduledSend) +
+                   sched.initial_holder.capacity() * sizeof(node_t);
+        };
+        const std::uint64_t full_check_state =
+            schedule_bytes(gen.exec) + schedule_bytes(gen.feasibility) +
+            sim::execute_schedule(gen.feasibility, b.model)
+                .delivery_cycle.resident_bytes();
+        EXPECT_EQ(first.plan_resident_bytes,
+                  parts(b, rings, dep_graph) + full_check_state);
+        EXPECT_GT(rings, 0u);
+        EXPECT_EQ(dep_graph, 0u);
+        EXPECT_EQ(priced.cache_resident_bytes(), first.plan_resident_bytes);
+    }
 }
 
 TEST(SvcSession, ByteBudgetEvictsColdPlans) {
@@ -520,7 +580,7 @@ TEST(SvcSession, ByteBudgetEvictsColdPlans) {
 TEST(SvcSession, ByteBudgetHoldsManySmallPlans) {
     // A generous budget keeps a whole mixed population resident: repeats
     // are all steady-state hits and the charged bytes stay within budget.
-    SessionParams params = fast_session(4);
+    SessionParams params = fast_session();
     params.plan_cache_bytes = 64u << 20;
     Session session(5, params);
     std::vector<Signature> sigs;
@@ -556,11 +616,63 @@ TEST(SvcSession, WideLayoutSessionStaysVerified) {
     }
 }
 
+TEST(SvcSession, ConcurrentExecuteOnCallerThreads) {
+    // No pool admission serializes executions any more: four caller
+    // threads run Session::execute at once — each on its own signature
+    // and all on one shared signature — while a fifth flips a membership
+    // transition back and forth under them. Every result must verify on
+    // the serial walk. (Run under TSan by the Svc tsan leg.)
+    SessionParams params = fast_session();
+    params.plan_cache_bytes = 64u << 20; // exercise concurrent re-pricing
+    Session session(4, params);
+    const Signature shared = sig_of(Op::reduce, Family::sbt, 4, 0, 2, 16);
+    constexpr int kThreads = 4;
+    constexpr int kIters = 24;
+    std::atomic<int> executed{0};
+    std::atomic<int> bad{0};
+    std::atomic<bool> done{false};
+    std::thread churn([&] {
+        // Node 15 is in no signature's root set, so every signature stays
+        // admissible; n=4 plans re-key on each transition, n=3 plans stay.
+        while (!done.load()) {
+            (void)session.leave(15);
+            (void)session.join(15);
+        }
+    });
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kThreads; ++t) {
+        callers.emplace_back([&, t] {
+            const auto root = static_cast<node_t>(t);
+            const Signature own[] = {
+                sig_of(Op::broadcast, Family::sbt, 4, root, 2, 16),
+                sig_of(Op::gather, Family::sbt, 3, root, 2, 16),
+            };
+            for (int i = 0; i < kIters; ++i) {
+                const Signature& sig = i % 3 == 0 ? shared : own[i % 2];
+                const ExecStats stats = session.execute(sig);
+                if (!stats.verified ||
+                    stats.exec_mode != rt::ExecMode::serial) {
+                    bad.fetch_add(1);
+                }
+                executed.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread& th : callers) {
+        th.join();
+    }
+    done.store(true);
+    churn.join();
+    EXPECT_EQ(executed.load(), kThreads * kIters);
+    EXPECT_EQ(bad.load(), 0);
+    EXPECT_LE(session.cache_resident_bytes(), params.plan_cache_bytes);
+}
+
 // ----------------------------------------------------------------- Service
 
-ServiceParams fast_service(std::uint32_t threads = 2) {
+ServiceParams fast_service() {
     ServiceParams p;
-    p.session = fast_session(threads);
+    p.session = fast_session();
     return p;
 }
 
@@ -675,7 +787,7 @@ TEST(SvcService, DrainOutlivesQueuedWork) {
 // ------------------------------------------------------------- Concurrency
 
 TEST(SvcConcurrent, SixteenClientsMixedOpsAllVerified) {
-    ServiceParams params = fast_service(4);
+    ServiceParams params = fast_service();
     params.queue_depth = 256;
     Service service(3, params);
     const std::vector<Signature> mix = {
