@@ -153,6 +153,17 @@ public:
                 evictions_.load(std::memory_order_relaxed)};
     }
 
+    /// Copy of the cached value with no recency update and no counters;
+    /// nullopt on a miss.
+    [[nodiscard]] std::optional<Value> peek(const Key& key) const {
+        const std::shared_lock lock(mutex_);
+        const auto it = map_.find(key);
+        if (it == map_.end()) {
+            return std::nullopt;
+        }
+        return it->second.value;
+    }
+
     /// True if `key` is currently resident (no recency update, no counters).
     [[nodiscard]] bool contains(const Key& key) const {
         const std::shared_lock lock(mutex_);

@@ -119,12 +119,10 @@ int child_main(const JobSpec& spec, std::uint32_t rank,
         // Dump every owned slot's final bytes (copy-through: every owned
         // slot has a materialized block).
         for (std::uint64_t s = 0; ctl_ok && s < job.plan.total_slots; ++s) {
-            const node_t node = job.plan.slot_node[s];
-            if (!player.owns(node)) {
+            if (!player.owns(job.plan.slot_node[s])) {
                 continue;
             }
-            const std::span<const double> block =
-                player.block(node, job.plan.slot_packet[s]);
+            const std::span<const double> block = player.slot_block(s);
             if (block.empty()) {
                 continue;
             }

@@ -92,14 +92,8 @@ NetPlayStats NetPlayer::play() {
 std::span<const double> NetPlayer::block(node_t node,
                                          packet_t packet) const {
     const std::uint64_t slot = plan_.slot_of(node, packet);
-    if (slot == rt::Plan::kNoSlot) {
-        return {};
-    }
-    const double* view = views_[static_cast<std::size_t>(slot)];
-    if (view == nullptr) {
-        return {};
-    }
-    return {view, plan_.block_elems};
+    return slot == rt::Plan::kNoSlot ? std::span<const double>{}
+                                     : slot_block(slot);
 }
 
 } // namespace hcube::net

@@ -56,6 +56,16 @@ public:
     /// node has no slot, or is not owned by this rank.
     [[nodiscard]] std::span<const double> block(node_t node,
                                                 packet_t packet) const;
+    /// Post-run view of the block slot `slot` holds (the same block as
+    /// block(plan.slot_node[slot], plan.slot_packet[slot]), without the
+    /// key lookup); empty if the slot holds nothing.
+    [[nodiscard]] std::span<const double>
+    slot_block(std::uint64_t slot) const noexcept {
+        const double* view = views_[static_cast<std::size_t>(slot)];
+        return view == nullptr ? std::span<const double>{}
+                               : std::span<const double>{
+                                     view, plan_.block_elems};
+    }
 
     [[nodiscard]] bool owns(node_t node) const noexcept {
         return plan_.owner_of(node) == rank_;

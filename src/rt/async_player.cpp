@@ -101,14 +101,8 @@ void AsyncPlayer::prepare_views() {
 std::span<const double> AsyncPlayer::block(node_t node,
                                            packet_t packet) const {
     const std::uint64_t slot = plan_.slot_of(node, packet);
-    if (slot == Plan::kNoSlot) {
-        return {};
-    }
-    const double* view = views_[static_cast<std::size_t>(slot)];
-    if (view == nullptr) {
-        return {};
-    }
-    return {view, plan_.block_elems};
+    return slot == Plan::kNoSlot ? std::span<const double>{}
+                                 : slot_block(slot);
 }
 
 std::uint64_t AsyncPlayer::resident_bytes() const noexcept {

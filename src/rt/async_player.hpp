@@ -105,6 +105,17 @@ public:
     [[nodiscard]] std::span<const double> block(node_t node,
                                                 packet_t packet) const;
 
+    /// Post-run view of the block slot `slot` holds (the same block as
+    /// block(plan.slot_node[slot], plan.slot_packet[slot]), without the
+    /// key lookup); empty span if the slot holds nothing.
+    [[nodiscard]] std::span<const double>
+    slot_block(std::uint64_t slot) const noexcept {
+        const double* view = views_[static_cast<std::size_t>(slot)];
+        return view == nullptr ? std::span<const double>{}
+                               : std::span<const double>{
+                                     view, plan_.block_elems};
+    }
+
     /// Exact heap bytes this engine keeps resident between runs (channel
     /// rings, slot views, copy-through storage, checksum table, live dep
     /// counters) — what a byte-budgeted cache charges for keeping the

@@ -24,10 +24,8 @@ using sim::Schedule;
 bool identical_memory(const Plan& plan, const Player& ref,
                       const AsyncPlayer& dut) {
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> a =
-            ref.block(plan.slot_node[s], plan.slot_packet[s]);
-        const std::span<const double> b =
-            dut.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> a = ref.slot_block(s);
+        const std::span<const double> b = dut.slot_block(s);
         if (a.size() != b.size() ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
                 0) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <compare>
+#include <cstring>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -55,31 +57,72 @@ std::uint64_t vec_bytes(const std::vector<T>& v) noexcept {
 
 } // namespace
 
-BlockArena::BlockArena(packet_t packets, std::size_t stride)
-    : data_(std::size_t{packets} * stride + 7), stride_(stride),
-      packets_(packets) {
+BlockArena::BlockArena(std::size_t blocks, std::size_t stride,
+                       packet_t packets)
+    : data_(blocks * stride + 7), stride_(stride), packets_(packets) {
     const auto raw = reinterpret_cast<std::uintptr_t>(data_.data());
-    double* base = reinterpret_cast<double*>(raw + ((0u - raw) & 63u));
-    for (packet_t p = 0; p < packets; ++p) {
-        fill_canonical({base + std::size_t{p} * stride, stride}, p);
-    }
-    base_ = base;
+    base_ = reinterpret_cast<double*>(raw + ((0u - raw) & 63u));
 }
+
+BlockArena::BlockArena(packet_t packets, std::size_t stride)
+    : BlockArena(std::size_t{packets}, stride, packets) {
+    for (packet_t p = 0; p < packets; ++p) {
+        fill_canonical({base_ + std::size_t{p} * stride, stride}, p);
+    }
+}
+
+BlockArena::BlockArena(dim_t n, packet_t packets, std::size_t stride)
+    : BlockArena((std::size_t{1} << n) * packets, stride, packets) {
+    for (node_t v = 0; v < (node_t{1} << n); ++v) {
+        for (packet_t p = 0; p < packets; ++p) {
+            fill_contribution(
+                {base_ + (std::size_t{v} * packets + p) * stride, stride}, v,
+                p);
+        }
+    }
+}
+
+namespace {
+
+/// Identity of a shareable arena: contributors is 0 for a canonical arena
+/// and the cube dimension + 1 for a contribution arena.
+struct ArenaKey {
+    std::uint32_t contributors;
+    packet_t packets;
+    std::size_t stride;
+    auto operator<=>(const ArenaKey&) const = default;
+};
+
+template <class Make>
+std::shared_ptr<const BlockArena> shared_arena(const ArenaKey& key,
+                                               Make&& make) {
+    static std::mutex mutex;
+    static std::map<ArenaKey, std::weak_ptr<const BlockArena>> live;
+    const std::lock_guard lock(mutex);
+    std::shared_ptr<const BlockArena> arena = live[key].lock();
+    if (arena == nullptr) {
+        std::erase_if(live, [](const auto& kv) { return kv.second.expired(); });
+        arena = make();
+        live[key] = arena;
+    }
+    return arena;
+}
+
+} // namespace
 
 std::shared_ptr<const BlockArena> shared_block_arena(packet_t packets,
                                                      std::size_t stride) {
-    static std::mutex mutex;
-    static std::map<std::pair<std::size_t, packet_t>,
-                    std::weak_ptr<const BlockArena>>
-        live;
-    const std::lock_guard lock(mutex);
-    std::shared_ptr<const BlockArena> arena = live[{stride, packets}].lock();
-    if (arena == nullptr) {
-        std::erase_if(live, [](const auto& kv) { return kv.second.expired(); });
-        arena = std::make_shared<const BlockArena>(packets, stride);
-        live[{stride, packets}] = arena;
-    }
-    return arena;
+    return shared_arena({0, packets, stride}, [&] {
+        return std::make_shared<const BlockArena>(packets, stride);
+    });
+}
+
+std::shared_ptr<const BlockArena>
+shared_contribution_arena(dim_t n, packet_t packets, std::size_t stride) {
+    return shared_arena(
+        {static_cast<std::uint32_t>(n) + 1, packets, stride}, [&] {
+            return std::make_shared<const BlockArena>(n, packets, stride);
+        });
 }
 
 PlanFootprint Plan::footprint() const noexcept {
@@ -99,7 +142,7 @@ PlanFootprint Plan::footprint() const noexcept {
               vec_bytes(slot_vals);
     f.channels = vec_bytes(channel_ep) + vec_bytes(node_out_ports) +
                  vec_bytes(node_in_ports) + vec_bytes(node_owner);
-    f.arena = std::uint64_t{packet_count} * arena_stride * sizeof(double);
+    f.arena = arena == nullptr ? 0 : arena->elements().size_bytes();
     return f;
 }
 
@@ -446,12 +489,20 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         plan.slot_vals.push_back(static_cast<std::uint32_t>(slot));
     }
 
-    // ---- immutable block arena (move mode) ----------------------------
-    if (mode == DataMode::move) {
-        plan.arena_stride = (block_elems + 7) & ~std::size_t{7};
-        plan.arena =
-            shared_block_arena(schedule.packet_count, plan.arena_stride);
+    // Slot ids and (node, packet) keys are a bijection; every slot-ordered
+    // reader (players' slot_block, the service's verifiers) relies on it.
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        HCUBE_ENSURE(plan.slot_of(plan.slot_node[s], plan.slot_packet[s]) ==
+                     s);
     }
+
+    // ---- immutable block arena ----------------------------------------
+    plan.arena_stride = (block_elems + 7) & ~std::size_t{7};
+    plan.arena =
+        mode == DataMode::move
+            ? shared_block_arena(schedule.packet_count, plan.arena_stride)
+            : shared_contribution_arena(schedule.n, schedule.packet_count,
+                                        plan.arena_stride);
 
     // ---- lowered actions: SoA streams + dependency CSR ----------------
     const auto S = static_cast<std::uint32_t>(low_sends.size());
@@ -578,21 +629,22 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
 }
 
 void seed_plan_memory(const Plan& plan, std::span<double> memory) {
+    const std::size_t blk = plan.block_elems;
     HCUBE_ENSURE(memory.size() ==
-                 static_cast<std::size_t>(plan.total_slots) *
-                     plan.block_elems);
-    std::fill(memory.begin(), memory.end(), 0.0);
-    for (const std::uint64_t slot : plan.seeded_slots) {
-        const std::span<double> block =
-            memory.subspan(static_cast<std::size_t>(slot) * plan.block_elems,
-                           plan.block_elems);
-        if (plan.mode == DataMode::move) {
-            fill_canonical(block, plan.slot_packet[slot]);
-        } else {
-            fill_contribution(block, plan.slot_node[slot],
-                              plan.slot_packet[slot]);
-        }
+                 static_cast<std::size_t>(plan.total_slots) * blk);
+    // Seeded slots are the prefix of the slot ids: copy each one's block
+    // from the arena and zero the rest.
+    const std::size_t seeded = plan.seeded_slots.size();
+    for (std::size_t s = 0; s < seeded; ++s) {
+        const double* block =
+            plan.mode == DataMode::move
+                ? plan.arena->block(plan.slot_packet[s])
+                : plan.arena->contribution(plan.slot_node[s],
+                                           plan.slot_packet[s]);
+        std::memcpy(memory.data() + s * blk, block, blk * sizeof(double));
     }
+    std::fill(memory.begin() + static_cast<std::ptrdiff_t>(seeded * blk),
+              memory.end(), 0.0);
 }
 
 std::uint64_t schedule_fingerprint(const sim::Schedule& schedule) noexcept {

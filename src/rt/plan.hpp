@@ -124,9 +124,10 @@ struct PlanFootprint {
     std::uint64_t buckets = 0;   ///< bucket orders/mirrors + cycle CSR
     std::uint64_t slots = 0;     ///< slot tables, lookup keys, seed list
     std::uint64_t channels = 0;  ///< packed endpoints + port bitmaps
-    /// The arena's canonical blocks (packet_count x stride doubles). Plans
-    /// of one shape share an arena, so the sum of this item over many
-    /// plans bounds the real arena bytes from above.
+    /// The arena's blocks, padding included: packet_count x stride doubles
+    /// in move mode, 2^n x packet_count x stride in combine mode. Plans of
+    /// one shape share an arena, so the sum of this item over many plans
+    /// bounds the real arena bytes from above.
     std::uint64_t arena = 0;
 
     [[nodiscard]] std::uint64_t total() const noexcept {
@@ -134,25 +135,41 @@ struct PlanFootprint {
     }
 };
 
-/// Immutable canonical blocks for packets [0, packets()), each padded to
-/// `stride` doubles and 64-byte aligned so consecutive blocks never share
-/// a cache line. Written once at construction.
+/// Immutable payload blocks, each padded to `stride` doubles and 64-byte
+/// aligned so consecutive blocks never share a cache line. Written once at
+/// construction. Two kinds: the canonical block of every packet (move
+/// mode), or every node's contribution to every packet of an n-cube
+/// reduction (combine mode), node-major.
 class BlockArena {
 public:
+    /// Canonical blocks of packets [0, packets).
     BlockArena(packet_t packets, std::size_t stride);
+    /// Contributions of the 2^n nodes to packets [0, packets): block
+    /// node * packets + packet holds fill_contribution(node, packet).
+    BlockArena(dim_t n, packet_t packets, std::size_t stride);
 
     [[nodiscard]] packet_t packets() const noexcept { return packets_; }
+    /// The canonical block of `packet` (canonical arenas).
     [[nodiscard]] const double* block(packet_t packet) const noexcept {
         return base_ + std::size_t{packet} * stride_;
     }
+    /// Node `node`'s contribution to `packet` (contribution arenas).
+    [[nodiscard]] const double* contribution(node_t node,
+                                             packet_t packet) const noexcept {
+        return base_ +
+               (std::size_t{node} * packets_ + packet) * stride_;
+    }
     /// Every element of every block, padding included.
     [[nodiscard]] std::span<const double> elements() const noexcept {
-        return {base_, std::size_t{packets_} * stride_};
+        return {base_, data_.size() - 7};
     }
 
 private:
+    /// Allocates `blocks` uninitialized aligned blocks.
+    BlockArena(std::size_t blocks, std::size_t stride, packet_t packets);
+
     std::vector<double> data_; ///< over-allocated by 7 for alignment
-    const double* base_;
+    double* base_;
     std::size_t stride_;
     packet_t packets_;
 };
@@ -163,6 +180,12 @@ private:
 /// that holds it (PlanFootprint::arena). Thread-safe.
 [[nodiscard]] std::shared_ptr<const BlockArena>
 shared_block_arena(packet_t packets, std::size_t stride);
+
+/// The process-wide contribution arena of an n-cube reduction over
+/// `packets` packets at `stride`, shared through the same registry as
+/// shared_block_arena. Thread-safe.
+[[nodiscard]] std::shared_ptr<const BlockArena>
+shared_contribution_arena(dim_t n, packet_t packets, std::size_t stride);
 
 struct Plan {
     dim_t n = 0;
@@ -198,16 +221,20 @@ struct Plan {
     std::vector<node_t> slot_node;     ///< per slot: the owning node
     /// Slots the player seeds before cycle 0: in move mode the initial
     /// holders' canonical blocks, in combine mode every slot (each node's
-    /// own contribution).
+    /// own contribution). Always the prefix [0, seeded_slots.size()) of the
+    /// slot ids.
     std::vector<std::uint32_t> seeded_slots;
 
-    // ---- immutable block arena (move mode) ----------------------------
-    /// The canonical blocks of packets [0, packet_count): the backing store
-    /// every zero-copy descriptor in a move-mode run points into. A
-    /// canonical block depends only on its packet id, so every move-mode
-    /// plan with the same packet count and stride shares one arena (see
-    /// shared_block_arena). Null in combine mode (slots there are mutable
-    /// accumulators, not views).
+    // ---- immutable block arena ----------------------------------------
+    /// The source of every seeded block. Move mode: the canonical blocks
+    /// of packets [0, packet_count), the backing store every zero-copy
+    /// descriptor points into; a canonical block depends only on its
+    /// packet id, so every move-mode plan with the same packet count and
+    /// stride shares one arena (see shared_block_arena). Combine mode: the
+    /// contribution of every node of the cube to every packet, shared by
+    /// every combine plan of the same dimension, packet count and stride
+    /// (shared_contribution_arena); slots there are mutable accumulators
+    /// seeded by copy from it, never views of it.
     std::shared_ptr<const BlockArena> arena;
     std::size_t arena_stride = 0; ///< block_elems rounded up to 8 doubles
 
@@ -427,9 +454,10 @@ struct Plan {
                                 std::span<const node_t> members = {});
 
 /// Seeds `memory` (total_slots x block_elems doubles) with the plan's
-/// initial holdings: canonical packet blocks in move mode, every node's own
-/// contribution in combine mode. Shared by both execution engines so their
-/// initial states are bit-identical.
+/// initial holdings, copied from its arena: canonical packet blocks in move
+/// mode, every node's own contribution in combine mode; unseeded slots are
+/// zeroed. Shared by every execution engine so their initial states are
+/// bit-identical.
 void seed_plan_memory(const Plan& plan, std::span<double> memory);
 
 /// FNV-1a fingerprint over a schedule's full content (dimension, packet

@@ -26,8 +26,7 @@ std::vector<double> snapshot_memory(const rt::Plan& plan, const P& player) {
     std::vector<double> image;
     image.reserve(plan.total_slots * plan.block_elems);
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b =
-            player.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> b = player.slot_block(s);
         image.insert(image.end(), b.begin(), b.end());
     }
     return image;
@@ -41,8 +40,7 @@ bool matches_image(const rt::Plan& plan, const P& player,
     }
     std::size_t off = 0;
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b =
-            player.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> b = player.slot_block(s);
         if (b.size() != plan.block_elems ||
             std::memcmp(b.data(), image.data() + off,
                         plan.block_elems * sizeof(double)) != 0) {
@@ -54,15 +52,14 @@ bool matches_image(const rt::Plan& plan, const P& player,
 }
 
 /// Move-mode steady-state check: every slot's final block must be the
-/// canonical arena block of its packet. The expected image is *derived*
-/// from the plan's immutable arena rather than stored per entry — on the
-/// zero-copy path the view is pointer-identical to the arena block (no
-/// byte compare at all), and copy-through finals memcmp against it.
+/// canonical arena block of the packet the slot table names for it. The
+/// expected image is *derived* from the plan's immutable arena rather than
+/// stored per entry — on the zero-copy path this is pointer identity (no
+/// arena byte is read), and copy-through finals memcmp against it.
 template <class P>
 bool matches_arena(const rt::Plan& plan, const P& player) {
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> b =
-            player.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> b = player.slot_block(s);
         if (b.size() != plan.block_elems) {
             return false;
         }
@@ -78,8 +75,11 @@ bool matches_arena(const rt::Plan& plan, const P& player) {
 
 /// FNV-1a over the slot-ordered canonical block digests — the identity of
 /// the derived move-mode oracle image. Stored on the first verified pass
-/// and recomputed on every steady-state run, so a perturbed slot table or
-/// arena is caught even though no second image copy exists.
+/// and recomputed on every steady-state run, so a slot→packet table that
+/// changed since that pass is caught even though no second image copy
+/// exists. The digests come from canonical_checksum, not from arena bytes:
+/// the arena's contents are certified once, by the first pass's per-block
+/// checksums, and from then on protected by its immutability.
 std::uint64_t arena_fingerprint(const rt::Plan& plan) {
     std::vector<std::uint64_t> digest(plan.packet_count);
     for (packet_t p = 0; p < plan.packet_count; ++p) {
@@ -98,10 +98,8 @@ std::uint64_t arena_fingerprint(const rt::Plan& plan) {
 bool identical_memory(const rt::Plan& plan, const rt::Player& ref,
                       const rt::AsyncPlayer& dut) {
     for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> a =
-            ref.block(plan.slot_node[s], plan.slot_packet[s]);
-        const std::span<const double> b =
-            dut.block(plan.slot_node[s], plan.slot_packet[s]);
+        const std::span<const double> a = ref.slot_block(s);
+        const std::span<const double> b = dut.slot_block(s);
         if (a.size() != b.size() ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
                 0) {
@@ -471,9 +469,10 @@ ExecStats Session::execute(const Signature& sig) {
         if (!full_check && entry->image_valid) {
             // Steady state: combine entries byte-compare against the
             // oracle image of the first verified execution; move entries
-            // re-derive the expected image from the plan's immutable
-            // arena (pointer-identity on the zero-copy path) and check
-            // its stored fingerprint — no second image copy exists.
+            // check the slot→packet table against its stored fingerprint
+            // and every final view against the arena block that table
+            // names (pointer identity on the zero-copy path) — no second
+            // image copy exists.
             if (combining) {
                 return ok &&
                        matches_image(plan, player, entry->oracle_image);
@@ -638,6 +637,15 @@ hcube::CacheStats Session::cache_stats() const noexcept {
 }
 
 std::size_t Session::cached_plans() const { return cache_.size(); }
+
+const rt::Plan* Session::cached_plan(const Signature& sig) const {
+    const std::shared_lock<std::shared_mutex> view_lock(view_mutex_);
+    Signature keyed = sig;
+    keyed.view_epoch = view_.epoch_of_subcube(sig.n);
+    const std::optional<std::shared_ptr<PlanEntry>> entry =
+        cache_.peek(keyed);
+    return entry ? (*entry)->plan.get() : nullptr;
+}
 
 std::uint64_t Session::cache_resident_bytes() const {
     return cache_.total_cost();

@@ -16,9 +16,9 @@
 // oracle: combine-mode entries byte-compare against the oracle image
 // snapshotted on the entry's first (fully oracle-checked) execution, and
 // move-mode entries re-derive the expected final state from the plan's
-// immutable block arena (storing only a fingerprint of it — the image
-// would be a second full copy of arena bytes) (docs/SERVICE.md
-// § Verification in steady state).
+// immutable block arena, storing only a fingerprint of the slot→packet
+// table — the image would be a second full copy of arena bytes
+// (docs/SERVICE.md § Verification in steady state).
 #pragma once
 
 #include "common/lru_cache.hpp"
@@ -176,6 +176,12 @@ class Session {
     /// bytes under a plan_cache_bytes budget, resident entry count in
     /// entry-count mode.
     [[nodiscard]] std::uint64_t cache_resident_bytes() const;
+
+    /// The compiled plan cached for `sig` over the current view, or null
+    /// when none is resident. No recency update and no counters; the
+    /// pointer stays valid while the entry stays resident. For
+    /// introspection: tests reach the slot tables and arena through it.
+    [[nodiscard]] const rt::Plan* cached_plan(const Signature& sig) const;
 
   private:
     struct PlanEntry;

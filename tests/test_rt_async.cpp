@@ -35,6 +35,18 @@ using sim::Schedule;
 
 constexpr std::size_t kBlock = 8;
 
+/// Pins the players' slot-indexed read to the (node, packet) lookup it
+/// replaces, for every slot.
+template <class P>
+void expect_slot_blocks_match_lookups(const Plan& plan, const P& player) {
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        const auto by_slot = player.slot_block(s);
+        const auto by_key = player.block(plan.slot_node[s], plan.slot_packet[s]);
+        ASSERT_EQ(by_slot.data(), by_key.data()) << "slot " << s;
+        ASSERT_EQ(by_slot.size(), by_key.size()) << "slot " << s;
+    }
+}
+
 /// Runs `schedule` through both engines and asserts clean stats plus a
 /// byte-identical final memory image, slot by slot. Besides the
 /// `threads`-worker async run, every call also checks the service's
@@ -52,6 +64,7 @@ void expect_engines_agree(const Schedule& schedule, DataMode mode,
     EXPECT_TRUE(ref.clean());
     EXPECT_EQ(ref.channel_faults, 0u);
     EXPECT_EQ(ref.blocks_delivered, schedule.sends.size());
+    expect_slot_blocks_match_lookups(plan, barrier_player);
 
     const auto expect_oracle_memory = [&](const AsyncPlayer& dut) {
         for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
@@ -74,6 +87,7 @@ void expect_engines_agree(const Schedule& schedule, DataMode mode,
     EXPECT_EQ(dut.channel_faults, 0u);
     EXPECT_EQ(dut.blocks_delivered, schedule.sends.size());
     expect_oracle_memory(async_player);
+    expect_slot_blocks_match_lookups(plan, async_player);
 
     const Plan one = compile_plan(schedule, mode, kBlock, 1, 1);
     for (const bool ring_walk : {false, true}) {
@@ -92,6 +106,7 @@ void expect_engines_agree(const Schedule& schedule, DataMode mode,
         EXPECT_EQ(serial_player.ring_bytes() > 0,
                   ring_walk || mode == DataMode::combine);
         expect_oracle_memory(serial_player);
+        expect_slot_blocks_match_lookups(one, serial_player);
     }
 }
 

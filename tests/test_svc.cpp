@@ -546,6 +546,15 @@ TEST(SvcSession, ReportsExactResidentBytes) {
         EXPECT_GT(rings, 0u);
         EXPECT_EQ(dep_graph, 0u);
         EXPECT_EQ(priced.cache_resident_bytes(), first.plan_resident_bytes);
+        // Part of the plan's charge is its share of the contribution arena
+        // it seeds from: every node's 16-element (one stride) block for
+        // each of the 2 packets.
+        const rt::Plan* plan = priced.cached_plan(b);
+        ASSERT_NE(plan, nullptr);
+        const std::uint64_t arena_bytes = 8u * 2 * 16 * sizeof(double);
+        EXPECT_EQ(plan->footprint().arena, arena_bytes);
+        EXPECT_EQ(plan->arena->elements().size_bytes(), arena_bytes);
+        EXPECT_GT(first.plan_resident_bytes, arena_bytes);
     }
 }
 
