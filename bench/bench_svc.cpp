@@ -15,7 +15,10 @@
 // Every request remains byte-verified — a row with "verified": false fails
 // this binary (exit 1) and the CI grep gate. The selector rows record the
 // calibrated cost model picking the SBT in the small-message regime and
-// the MSBT above the measured crossover (Table 3's regimes, live).
+// the MSBT above the measured crossover (Table 3's regimes, live). The
+// first_execution rows price the other side of the cache: the median
+// cache-miss execution per op (schedule, compile, barrier oracle, async
+// play and the first-principles checks), each byte-verified.
 //
 //   bench_svc [--n 5] [--requests 96] [--block 256] [--queue 256]
 //             [--json <path>]
@@ -219,6 +222,44 @@ ServiceMeasured run_service(dim_t n, const std::vector<Signature>& mix,
     const Service::Counters counters = service.counters();
     m.batched = counters.batched;
     m.executed = counters.executed;
+    return m;
+}
+
+// ------------------------------------------------------ first execution --
+
+struct FirstMeasured {
+    std::size_t signatures = 0;
+    double median_us = 0;
+    double min_us = 0;
+    double max_us = 0;
+    bool verified = true;
+};
+
+/// Distinct signatures timed per first_execution row (fewer on cubes with
+/// fewer nodes: the signatures differ only by root).
+constexpr std::size_t kFirstSigs = 16;
+
+/// Cache-miss cost of `proto`'s op: one fresh Session, then
+/// min(kFirstSigs, 2^n) distinct signatures of that op (roots 0, 1, ...),
+/// each executed once — every execution a Verify::first oracle pass.
+FirstMeasured run_first_executions(dim_t n, const Signature& proto) {
+    Session session(n, SessionParams{});
+    FirstMeasured m;
+    std::vector<double> us;
+    const std::size_t count = std::min(kFirstSigs, std::size_t{1} << n);
+    for (std::size_t i = 0; i < count; ++i) {
+        Signature sig = proto;
+        sig.root = static_cast<node_t>(i);
+        const double t0 = now_seconds();
+        const ExecStats stats = session.execute(sig);
+        us.push_back((now_seconds() - t0) * 1e6);
+        m.verified = m.verified && stats.verified && !stats.cache_hit &&
+                     stats.oracle_checked;
+    }
+    m.signatures = us.size();
+    m.median_us = percentile(us, 0.50);
+    m.min_us = percentile(us, 0.0);
+    m.max_us = percentile(us, 1.0);
     return m;
 }
 
@@ -487,6 +528,45 @@ int main(int argc, char** argv) {
             json->field("executed", svc.executed);
             json->field("transport", svc.transport);
             json->field("verified", svc.verified);
+            json->end_row();
+        }
+    }
+
+    // First executions: every op's cache-miss path at this n.
+    std::printf("\nfirst execution (Verify::first cache miss), %zu "
+                "signatures per op:\n",
+                std::min(kFirstSigs, std::size_t{1} << n));
+    std::printf("  %-10s %-6s %8s %12s %12s %12s %9s\n", "op", "family",
+                "packets", "median us", "min us", "max us", "verified");
+    for (const Signature& proto :
+         {make_sig(Op::broadcast, Family::sbt, n, 0, 4, block),
+          make_sig(Op::scatter, Family::bst, n, 0, 2, block),
+          make_sig(Op::gather, Family::sbt, n, 0, 2, block),
+          make_sig(Op::allgather, Family::sbt, n, 0, 1, block),
+          make_sig(Op::alltoall, Family::sbt, n, 0, 1, block),
+          make_sig(Op::reduce, Family::sbt, n, 0, 2, block)}) {
+        const FirstMeasured first = run_first_executions(n, proto);
+        verified = verified && first.verified;
+        const std::string op(to_string(proto.op));
+        const std::string family(to_string(proto.family));
+        std::printf("  %-10s %-6s %8u %12.1f %12.1f %12.1f %9s\n",
+                    op.c_str(), family.c_str(), proto.packets,
+                    first.median_us, first.min_us, first.max_us,
+                    first.verified ? "yes" : "NO");
+        if (json) {
+            json->begin_row();
+            json->field("mode", "first_execution");
+            json->field("op", op);
+            json->field("family", family);
+            json->field("n", n);
+            json->field("packets", proto.packets);
+            json->field("block_elems", block);
+            json->field("signatures",
+                        static_cast<std::uint64_t>(first.signatures));
+            json->field("median_us", first.median_us);
+            json->field("min_us", first.min_us);
+            json->field("max_us", first.max_us);
+            json->field("verified", first.verified);
             json->end_row();
         }
     }

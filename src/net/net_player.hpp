@@ -80,7 +80,6 @@ private:
     ft::TransportClass transport_;
     std::vector<const double*> views_;
     std::vector<double> memory_;
-    std::vector<std::uint64_t> expected_checksum_;
     rt::FaultArbiter arbiter_;
 };
 

@@ -20,34 +20,36 @@ Netd::Netd(dim_t n, NetdParams params)
 
 Netd::~Netd() {
     running_.store(false, std::memory_order_release);
-    // Closing the listener kicks accept_peer's poll out with an error.
+    // Shutting the listener down kicks accept_peer's poll out; its fd is
+    // closed only after the acceptor has joined, so the acceptor can never
+    // poll a number the process has already reused.
     ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
     if (acceptor_.joinable()) {
         acceptor_.join();
     }
-    std::vector<int> clients;
-    std::vector<std::thread> threads;
+    ::close(listen_fd_);
     {
+        // Unblocks every serve thread mid-read; each closes its own fd.
         const std::lock_guard<std::mutex> lock(m_);
-        clients.swap(clients_);
-        threads.swap(threads_);
-    }
-    for (const int fd : clients) {
-        ::shutdown(fd, SHUT_RDWR); // unblocks a serve thread mid-read
-    }
-    for (std::thread& t : threads) {
-        if (t.joinable()) {
-            t.join();
+        for (const Conn& c : conns_) {
+            if (c.fd >= 0) {
+                ::shutdown(c.fd, SHUT_RDWR);
+            }
         }
     }
-    for (const int fd : clients) {
-        ::close(fd);
+    for (Conn& c : conns_) {
+        c.thread.join();
     }
+}
+
+std::size_t Netd::connections() const {
+    const std::lock_guard<std::mutex> lock(m_);
+    return conns_.size();
 }
 
 void Netd::accept_loop() {
     while (running_.load(std::memory_order_acquire)) {
+        reap_finished();
         const int fd = accept_peer(listen_fd_, 200);
         if (fd < 0) {
             continue; // timeout or shutdown; the flag decides
@@ -57,12 +59,41 @@ void Netd::accept_loop() {
             ::close(fd);
             return;
         }
-        clients_.push_back(fd);
-        threads_.emplace_back([this, fd] { serve(fd); });
+        Conn& conn = conns_.emplace_back();
+        conn.fd = fd;
+        conn.thread = std::thread([this, &conn] { serve(conn); });
     }
 }
 
-void Netd::serve(int fd) {
+void Netd::reap_finished() {
+    std::list<Conn> finished;
+    {
+        const std::lock_guard<std::mutex> lock(m_);
+        for (auto it = conns_.begin(); it != conns_.end();) {
+            const auto next = std::next(it);
+            if (it->done) {
+                finished.splice(finished.end(), conns_, it);
+            }
+            it = next;
+        }
+    }
+    for (Conn& c : finished) {
+        c.thread.join();
+    }
+}
+
+void Netd::serve(Conn& conn) {
+    const int fd = conn.fd;
+    serve_requests(fd);
+    // Hangup (or teardown): the connection's fd goes back to the process
+    // now, not at daemon teardown, and the acceptor may join this thread.
+    const std::lock_guard<std::mutex> lock(m_);
+    ::close(fd);
+    conn.fd = -1;
+    conn.done = true;
+}
+
+void Netd::serve_requests(int fd) {
     std::vector<std::uint8_t> frame;
     std::vector<std::uint8_t> reply;
     while (running_.load(std::memory_order_acquire)) {

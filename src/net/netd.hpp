@@ -8,7 +8,9 @@
 // through Service::run (the service's own admission/batching machinery is
 // what provides concurrency across connections). A frame that fails to
 // decode gets a status=failed response — a daemon never tears down
-// because one client spoke garbage.
+// because one client spoke garbage. A connection's serve thread closes its
+// socket when the client hangs up, and the acceptor joins finished serve
+// threads, so fds and threads stay bounded under connection churn.
 //
 // NetClient is the matching blocking client: connect once, run() many.
 #pragma once
@@ -19,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -40,7 +43,8 @@ public:
     /// Binds and starts serving immediately. Throws check_error when the
     /// endpoint cannot be bound.
     Netd(dim_t n, NetdParams params);
-    /// Stops accepting, closes every client connection, joins the serve
+    /// Stops accepting (the listener is closed only after the acceptor
+    /// has joined), shuts every client connection down, joins the serve
     /// threads, then drains the service.
     ~Netd();
 
@@ -56,10 +60,26 @@ public:
     [[nodiscard]] std::uint64_t served() const noexcept {
         return served_.load(std::memory_order_relaxed);
     }
+    /// Connections whose serve thread has not been joined yet: the live
+    /// ones plus those that hung up since the acceptor last reaped (it
+    /// reaps at least every 200 ms).
+    [[nodiscard]] std::size_t connections() const;
 
 private:
+    /// One accepted connection and the thread serving it.
+    struct Conn {
+        int fd = -1; ///< -1 once its serve thread closed it
+        std::thread thread;
+        bool done = false; ///< serve returned; the thread is joinable
+    };
+
     void accept_loop();
-    void serve(int fd);
+    void serve(Conn& conn);
+    /// The request loop of one connection; returns when the peer hangs up
+    /// or the socket is shut down.
+    void serve_requests(int fd);
+    /// Joins the serve threads that finished and forgets their connections.
+    void reap_finished();
 
     svc::Service service_;
     Endpoint endpoint_;
@@ -67,9 +87,8 @@ private:
     int listen_fd_ = -1;
     std::atomic<bool> running_{true};
     std::atomic<std::uint64_t> served_{0};
-    std::mutex m_; ///< guards clients_ / threads_
-    std::vector<int> clients_;
-    std::vector<std::thread> threads_;
+    mutable std::mutex m_; ///< guards conns_ (every Conn's fd and done)
+    std::list<Conn> conns_;
     std::thread acceptor_;
 };
 

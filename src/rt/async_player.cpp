@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
-#include "rt/checksum.hpp"
 #include "rt/delivery.hpp"
 #include "rt/pool.hpp"
 
@@ -55,12 +54,7 @@ AsyncPlayer::AsyncPlayer(const Plan& plan, std::uint32_t channel_capacity)
     HCUBE_ENSURE_MSG(bytes <= (std::uint64_t{1} << 34),
                      "runtime payload exceeds 16 GiB; shrink the schedule "
                      "or the block size");
-    if (plan.mode == DataMode::move) {
-        expected_checksum_.resize(plan.packet_count);
-        for (packet_t p = 0; p < plan.packet_count; ++p) {
-            expected_checksum_[p] = canonical_checksum(p, plan.block_elems);
-        }
-    } else {
+    if (plan.mode == DataMode::combine) {
         memory_.assign(static_cast<std::size_t>(plan.total_slots) *
                            plan.block_elems,
                        0.0);
@@ -109,8 +103,6 @@ std::uint64_t AsyncPlayer::resident_bytes() const noexcept {
     return ring_bytes() +
            std::uint64_t{views_.capacity()} * sizeof(const double*) +
            std::uint64_t{memory_.capacity()} * sizeof(double) +
-           std::uint64_t{expected_checksum_.capacity()} *
-               sizeof(std::uint64_t) +
            std::uint64_t{deps_.size()} *
                sizeof(std::atomic<std::uint32_t>);
 }
@@ -160,7 +152,7 @@ void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
     const std::uint64_t total = plan_.action_count();
     const RunContext ctx{plan_,          *channels_,
                          views_.data(),  memory_.data(),
-                         expected_checksum_.data(),
+                         plan_.arena_digests().data(),
                          detect_,        arbiter_,
                          trace_,         detect_.enabled(),
                          copy_through_};
@@ -247,7 +239,7 @@ void AsyncPlayer::run_serial(PlayStats& stats, bool ring_walk) {
     }
     const RunContext ctx{plan_,          *channels_,
                          views_.data(),  memory_.data(),
-                         expected_checksum_.data(),
+                         plan_.arena_digests().data(),
                          detect_,        arbiter_,
                          trace_,         detect_.enabled(),
                          copy_through_};

@@ -117,7 +117,7 @@ public:
     }
 
     /// Exact heap bytes this engine keeps resident between runs (channel
-    /// rings, slot views, copy-through storage, checksum table, live dep
+    /// rings, slot views, copy-through storage, live dep
     /// counters) — what a byte-budgeted cache charges for keeping the
     /// player warm. The plan itself is accounted by Plan::resident_bytes().
     [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
@@ -164,7 +164,6 @@ private:
     /// Copy-through slot storage; eager for combine plans, lazy for move
     /// plans (first fault-hooked run), never touched on pure zero-copy.
     std::vector<double> memory_;
-    std::vector<std::uint64_t> expected_checksum_; ///< per packet, move mode
     /// Live dep counters; empty on one-worker plans (no graph to count).
     std::vector<std::atomic<std::uint32_t>> deps_;
     std::atomic<std::uint64_t> completed_{0};

@@ -12,6 +12,15 @@
 // fallback), hashing the doubles' bit patterns. All payloads the runtime
 // generates are small non-negative integers, so every value has exactly one
 // representation and bit-pattern hashing is as canonical as value hashing.
+//
+// Where expected digests come from: a canonical rt::BlockArena hashes each
+// block once, right after fill_canonical writes it, into its digest table
+// (Plan::arena_digests). The players' in-flight checks and the first pass's
+// holdings check (rt/verify.hpp) read that table; the holdings check also
+// re-hashes the arena blocks it finds held, so the arena's bytes are still
+// certified on every first pass. canonical_checksum below regenerates a
+// digest from the packet id alone: it is the independent reference the
+// steady-state arena fingerprint and the tests compare against.
 #pragma once
 
 #include "rt/simd.hpp"

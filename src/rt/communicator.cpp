@@ -2,13 +2,12 @@
 
 #include "common/check.hpp"
 #include "rt/async_player.hpp"
-#include "rt/checksum.hpp"
 #include "rt/player.hpp"
 #include "rt/pool.hpp"
 #include "rt/threads.hpp"
+#include "rt/verify.hpp"
 #include "sim/cycle.hpp"
 
-#include <cstring>
 #include <optional>
 
 namespace hcube::rt {
@@ -17,23 +16,6 @@ namespace {
 
 using sim::packet_t;
 using sim::Schedule;
-
-/// Byte-identical final-state comparison across the two engines, slot by
-/// slot — the cross-check that makes the barrier Player the async engine's
-/// oracle.
-bool identical_memory(const Plan& plan, const Player& ref,
-                      const AsyncPlayer& dut) {
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> a = ref.slot_block(s);
-        const std::span<const double> b = dut.slot_block(s);
-        if (a.size() != b.size() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
-                0) {
-            return false;
-        }
-    }
-    return true;
-}
 
 /// The per-run numbers every operation reports identically, including the
 /// fault counters the ft layer (and bench JSON) watches.
@@ -83,30 +65,6 @@ Result Communicator::run_move(const Schedule& schedule) {
     const Plan plan = compile_plan(schedule, DataMode::move,
                                    params_.block_elems, threads_);
 
-    // Every (node, packet) the simulator says is held must end up holding
-    // the canonical block, and nothing else may appear.
-    const auto holdings_match = [&](const auto& player) {
-        const node_t count = node_t{1} << n_;
-        for (node_t i = 0; i < count; ++i) {
-            for (packet_t p = 0; p < schedule.packet_count; ++p) {
-                const bool held = sim_stats.holds(i, p);
-                const std::span<const double> block = player.block(i, p);
-                if (!held) {
-                    if (!block.empty()) {
-                        return false;
-                    }
-                    continue;
-                }
-                if (block.empty() ||
-                    block_checksum(block) !=
-                        canonical_checksum(p, params_.block_elems)) {
-                    return false;
-                }
-            }
-        }
-        return true;
-    };
-
     Result result;
     result.engine = params_.engine;
     result.threads = threads_;
@@ -134,14 +92,14 @@ Result Communicator::run_move(const Schedule& schedule) {
     }
 
     if (params_.engine == Engine::barrier) {
-        ok = ok && holdings_match(*ref);
+        ok = ok && holdings_match(plan, *ref, sim_stats);
         copy_play_stats(result, ref_stats);
     } else {
         AsyncPlayer dut(plan);
         const PlayStats stats = dut.play(pool_.get());
         ok = ok && stats.clean() &&
              stats.blocks_delivered == schedule.sends.size() &&
-             holdings_match(dut);
+             holdings_match(plan, dut, sim_stats);
         if (with_oracle) {
             ok = ok && identical_memory(plan, *ref, dut);
             result.ref_seconds = ref_stats.seconds;

@@ -48,7 +48,8 @@ struct RunContextT {
     Bank& channels;
     const double** views; ///< per slot: current block view (size total_slots)
     double* memory;       ///< copy-through slot storage; null in zero-copy
-    const std::uint64_t* expected_checksum; ///< per packet; move mode only
+    /// Per packet, move mode only: the plan's arena digest table.
+    const std::uint64_t* expected_checksum;
     const ft::DetectConfig& detect;
     FaultArbiter& arbiter;
     TraceRecorder* trace;

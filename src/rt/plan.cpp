@@ -64,10 +64,14 @@ BlockArena::BlockArena(std::size_t blocks, std::size_t stride,
     base_ = reinterpret_cast<double*>(raw + ((0u - raw) & 63u));
 }
 
-BlockArena::BlockArena(packet_t packets, std::size_t stride)
-    : BlockArena(std::size_t{packets}, stride, packets) {
+BlockArena::BlockArena(packet_t packets, std::size_t block_elems)
+    : BlockArena(std::size_t{packets}, arena_stride_of(block_elems),
+                 packets) {
+    digests_.resize(packets);
     for (packet_t p = 0; p < packets; ++p) {
-        fill_canonical({base_ + std::size_t{p} * stride, stride}, p);
+        double* const b = base_ + std::size_t{p} * stride_;
+        fill_canonical({b, stride_}, p);
+        digests_[p] = block_checksum({b, block_elems});
     }
 }
 
@@ -85,11 +89,12 @@ BlockArena::BlockArena(dim_t n, packet_t packets, std::size_t stride)
 namespace {
 
 /// Identity of a shareable arena: contributors is 0 for a canonical arena
-/// and the cube dimension + 1 for a contribution arena.
+/// (sized by its block_elems, which its digests cover) and the cube
+/// dimension + 1 for a contribution arena (sized by its stride).
 struct ArenaKey {
     std::uint32_t contributors;
     packet_t packets;
-    std::size_t stride;
+    std::size_t elems;
     auto operator<=>(const ArenaKey&) const = default;
 };
 
@@ -111,9 +116,9 @@ std::shared_ptr<const BlockArena> shared_arena(const ArenaKey& key,
 } // namespace
 
 std::shared_ptr<const BlockArena> shared_block_arena(packet_t packets,
-                                                     std::size_t stride) {
-    return shared_arena({0, packets, stride}, [&] {
-        return std::make_shared<const BlockArena>(packets, stride);
+                                                     std::size_t block_elems) {
+    return shared_arena({0, packets, block_elems}, [&] {
+        return std::make_shared<const BlockArena>(packets, block_elems);
     });
 }
 
@@ -142,7 +147,9 @@ PlanFootprint Plan::footprint() const noexcept {
               vec_bytes(slot_vals);
     f.channels = vec_bytes(channel_ep) + vec_bytes(node_out_ports) +
                  vec_bytes(node_in_ports) + vec_bytes(node_owner);
-    f.arena = arena == nullptr ? 0 : arena->elements().size_bytes();
+    f.arena = arena == nullptr ? 0
+                               : arena->elements().size_bytes() +
+                                     arena->digests().size_bytes();
     return f;
 }
 
@@ -497,10 +504,10 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     }
 
     // ---- immutable block arena ----------------------------------------
-    plan.arena_stride = (block_elems + 7) & ~std::size_t{7};
+    plan.arena_stride = arena_stride_of(block_elems);
     plan.arena =
         mode == DataMode::move
-            ? shared_block_arena(schedule.packet_count, plan.arena_stride)
+            ? shared_block_arena(schedule.packet_count, block_elems)
             : shared_contribution_arena(schedule.n, schedule.packet_count,
                                         plan.arena_stride);
 

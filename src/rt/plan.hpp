@@ -125,9 +125,10 @@ struct PlanFootprint {
     std::uint64_t slots = 0;     ///< slot tables, lookup keys, seed list
     std::uint64_t channels = 0;  ///< packed endpoints + port bitmaps
     /// The arena's blocks, padding included: packet_count x stride doubles
-    /// in move mode, 2^n x packet_count x stride in combine mode. Plans of
-    /// one shape share an arena, so the sum of this item over many plans
-    /// bounds the real arena bytes from above.
+    /// plus the packet_count-word digest table in move mode, 2^n x
+    /// packet_count x stride doubles in combine mode. Plans of one shape
+    /// share an arena, so the sum of this item over many plans bounds the
+    /// real arena bytes from above.
     std::uint64_t arena = 0;
 
     [[nodiscard]] std::uint64_t total() const noexcept {
@@ -135,20 +136,40 @@ struct PlanFootprint {
     }
 };
 
+/// Doubles an arena block of `block_elems` elements occupies: rounded up
+/// to a whole 64-byte cache line.
+[[nodiscard]] constexpr std::size_t
+arena_stride_of(std::size_t block_elems) noexcept {
+    return (block_elems + 7) & ~std::size_t{7};
+}
+
 /// Immutable payload blocks, each padded to `stride` doubles and 64-byte
 /// aligned so consecutive blocks never share a cache line. Written once at
 /// construction. Two kinds: the canonical block of every packet (move
 /// mode), or every node's contribution to every packet of an n-cube
 /// reduction (combine mode), node-major.
+///
+/// A canonical arena also owns the digest table: digests()[p] is
+/// block_checksum over the first block_elems elements of block p, computed
+/// once, right after the block is written. It is the one source of the
+/// expected digest every move-mode consumer reads — the players' in-flight
+/// checks and the first pass's holdings check; nothing regenerates it per
+/// player or per held block.
 class BlockArena {
 public:
-    /// Canonical blocks of packets [0, packets).
-    BlockArena(packet_t packets, std::size_t stride);
+    /// Canonical blocks of packets [0, packets), `block_elems` doubles each
+    /// (padded to the stride), and their digest table.
+    BlockArena(packet_t packets, std::size_t block_elems);
     /// Contributions of the 2^n nodes to packets [0, packets): block
     /// node * packets + packet holds fill_contribution(node, packet).
     BlockArena(dim_t n, packet_t packets, std::size_t stride);
 
     [[nodiscard]] packet_t packets() const noexcept { return packets_; }
+    /// The digest table: per packet, the checksum of its canonical block
+    /// over block_elems elements; empty for contribution arenas.
+    [[nodiscard]] std::span<const std::uint64_t> digests() const noexcept {
+        return digests_;
+    }
     /// The canonical block of `packet` (canonical arenas).
     [[nodiscard]] const double* block(packet_t packet) const noexcept {
         return base_ + std::size_t{packet} * stride_;
@@ -169,17 +190,20 @@ private:
     BlockArena(std::size_t blocks, std::size_t stride, packet_t packets);
 
     std::vector<double> data_; ///< over-allocated by 7 for alignment
+    std::vector<std::uint64_t> digests_; ///< per packet; canonical only
     double* base_;
     std::size_t stride_;
     packet_t packets_;
 };
 
-/// The process-wide arena of `packets` canonical blocks at `stride`: the
-/// live one when a plan already holds it, else a new one. Sharing only
-/// identical arenas keeps every live arena charged in full to each plan
-/// that holds it (PlanFootprint::arena). Thread-safe.
+/// The process-wide arena of `packets` canonical blocks of `block_elems`
+/// doubles: the live one when a plan already holds it, else a new one.
+/// Keyed by block_elems, not by stride: two block sizes that round to one
+/// stride share their bytes but not their digests. Sharing only identical
+/// arenas keeps every live arena charged in full to each plan that holds
+/// it (PlanFootprint::arena). Thread-safe.
 [[nodiscard]] std::shared_ptr<const BlockArena>
-shared_block_arena(packet_t packets, std::size_t stride);
+shared_block_arena(packet_t packets, std::size_t block_elems);
 
 /// The process-wide contribution arena of an n-cube reduction over
 /// `packets` packets at `stride`, shared through the same registry as
@@ -228,9 +252,11 @@ struct Plan {
     // ---- immutable block arena ----------------------------------------
     /// The source of every seeded block. Move mode: the canonical blocks
     /// of packets [0, packet_count), the backing store every zero-copy
-    /// descriptor points into; a canonical block depends only on its
-    /// packet id, so every move-mode plan with the same packet count and
-    /// stride shares one arena (see shared_block_arena). Combine mode: the
+    /// descriptor points into, and their digest table (the expected
+    /// checksum of every move-mode check; see arena_digests); a canonical
+    /// block depends only on its packet id, so every move-mode plan with
+    /// the same packet count and block size shares one arena (see
+    /// shared_block_arena). Combine mode: the
     /// contribution of every node of the cube to every packet, shared by
     /// every combine plan of the same dimension, packet count and stride
     /// (shared_contribution_arena); slots there are mutable accumulators
@@ -241,6 +267,15 @@ struct Plan {
     /// The canonical arena block for `packet` (move mode only).
     [[nodiscard]] const double* arena_block(packet_t packet) const noexcept {
         return arena->block(packet);
+    }
+    /// Per packet: the digest its canonical block must have (move mode;
+    /// empty in combine mode, where no digest is precomputable). Computed
+    /// from the arena's bytes when the arena was built, so a check that
+    /// only compares against this table trusts those bytes; the first
+    /// pass's holdings check re-hashes them (rt/verify.hpp).
+    [[nodiscard]] std::span<const std::uint64_t>
+    arena_digests() const noexcept {
+        return arena->digests();
     }
 
     // ---- channels ------------------------------------------------------

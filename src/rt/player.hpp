@@ -136,7 +136,7 @@ public:
     }
 
     /// Exact heap bytes this engine keeps resident between runs (channel
-    /// rings, slot views, copy-through storage, checksum table) — what a
+    /// rings, slot views, copy-through storage) — what a
     /// byte-budgeted cache charges for keeping the player warm. The plan
     /// itself is accounted separately by Plan::resident_bytes().
     [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
@@ -157,7 +157,6 @@ private:
     /// first copy-through run (fault hook installed) — a pure zero-copy
     /// player never materializes it.
     std::vector<double> memory_;
-    std::vector<std::uint64_t> expected_checksum_; ///< per packet, move mode
     bool copy_through_ = false; ///< decided per run in prepare_views()
     ft::DetectConfig detect_{};
     FaultArbiter arbiter_;

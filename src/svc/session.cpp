@@ -6,6 +6,7 @@
 #include "rt/checksum.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
+#include "rt/verify.hpp"
 #include "sim/cycle.hpp"
 
 #include <cstring>
@@ -91,49 +92,6 @@ std::uint64_t arena_fingerprint(const rt::Plan& plan) {
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-/// Byte-identical final state across the barrier oracle and the async
-/// engine (the Communicator's cross-check, replayed per cache entry).
-bool identical_memory(const rt::Plan& plan, const rt::Player& ref,
-                      const rt::AsyncPlayer& dut) {
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const std::span<const double> a = ref.slot_block(s);
-        const std::span<const double> b = dut.slot_block(s);
-        if (a.size() != b.size() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
-                0) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/// Every (node, packet) the simulator says is held must hold the canonical
-/// block, and nothing else may appear (move mode).
-template <class P>
-bool holdings_match(const P& player, const sim::Schedule& schedule,
-                    const sim::CycleStats& sim_stats, dim_t n,
-                    std::size_t block_elems) {
-    const node_t count = node_t{1} << n;
-    for (node_t i = 0; i < count; ++i) {
-        for (packet_t p = 0; p < schedule.packet_count; ++p) {
-            const bool held = sim_stats.holds(i, p);
-            const std::span<const double> block = player.block(i, p);
-            if (!held) {
-                if (!block.empty()) {
-                    return false;
-                }
-                continue;
-            }
-            if (block.empty() ||
-                rt::block_checksum(block) !=
-                    rt::canonical_checksum(p, block_elems)) {
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 /// The root's block for every packet must equal the exact elementwise
@@ -490,8 +448,7 @@ ExecStats Session::execute(const Signature& sig) {
                                   exec.packet_count, exec.n,
                                   plan.block_elems, entry->members);
         } else {
-            ok = ok && holdings_match(player, exec, entry->sim_stats,
-                                      exec.n, plan.block_elems);
+            ok = ok && rt::holdings_match(plan, player, entry->sim_stats);
         }
         return ok;
     };
@@ -529,7 +486,8 @@ ExecStats Session::execute(const Signature& sig) {
         const rt::PlayStats stats = entry->async->play();
         ok = ok && structural_checks(*entry->async, stats);
         if (full_check && entry->barrier != nullptr) {
-            ok = ok && identical_memory(plan, *entry->barrier, *entry->async);
+            ok = ok &&
+                 rt::identical_memory(plan, *entry->barrier, *entry->async);
         }
         out.rt_cycles = stats.cycles;
         out.blocks_delivered = stats.blocks_delivered;

@@ -1,8 +1,8 @@
 // Tests of netd — svc::Service over the wire: a daemon serving the
 // collective service on Unix-domain and TCP endpoints with the net
 // framing, blocking clients driving verified runs (including cache-hit
-// repeats and concurrent clients), and the garbage-tolerance of the
-// request loop.
+// repeats and concurrent clients), the garbage-tolerance of the request
+// loop, and the daemon's fd and thread bounds under connection churn.
 #include "net/netd.hpp"
 
 #include "model/broadcast_model.hpp"
@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -141,6 +143,65 @@ TEST(NetSvc, ConcurrentClientsAllVerified) {
     EXPECT_EQ(ok.load(), kClients * kRequests);
     EXPECT_EQ(daemon.served(),
               static_cast<std::uint64_t>(kClients * kRequests));
+    ::unlink(path.c_str());
+}
+
+/// Entries of a /proc/self directory (open fds, live threads).
+std::size_t proc_entries(const char* dir) {
+    std::size_t count = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        (void)entry;
+        ++count;
+    }
+    return count;
+}
+
+TEST(NetSvc, ConnectionChurnLeavesFdsAndThreadsBounded) {
+    const std::string path = temp_sock("churn");
+    Netd daemon(3, uds_params(path));
+    {
+        // Warm the service (plan cache, metrics) before the baseline.
+        NetClient client(daemon.endpoint());
+        ASSERT_TRUE(client.run(broadcast_sig(3)).verified);
+    }
+    const auto settle = [](const auto& done) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!done() && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    };
+    // Allowance over the baseline: the last connections' serve threads
+    // may still be between hangup and their reap.
+    constexpr std::size_t kSlack = 4;
+    std::size_t fds0 = 0;
+    std::size_t tasks0 = 0;
+    settle([&] {
+        fds0 = proc_entries("/proc/self/fd");
+        tasks0 = proc_entries("/proc/self/task");
+        return tasks0 <= 3; // test thread, dispatcher, acceptor
+    });
+
+    for (int i = 0; i < 256; ++i) {
+        NetClient client(daemon.endpoint());
+        if (i % 32 == 0) {
+            ASSERT_TRUE(client.run(broadcast_sig(3)).verified);
+        }
+    }
+    std::size_t fds = 0;
+    std::size_t tasks = 0;
+    settle([&] {
+        fds = proc_entries("/proc/self/fd");
+        tasks = proc_entries("/proc/self/task");
+        return fds <= fds0 + kSlack && tasks <= tasks0 + kSlack &&
+               daemon.connections() == 0;
+    });
+    EXPECT_LE(fds, fds0 + kSlack) << "closed connections keep their fds";
+    EXPECT_LE(tasks, tasks0 + kSlack) << "serve threads outlive hangups";
+    // An exited serve thread leaves /proc/self/task but keeps its stack
+    // until joined; the daemon's connection list is what counts those.
+    EXPECT_EQ(daemon.connections(), 0u)
+        << "finished serve threads are never joined";
     ::unlink(path.c_str());
 }
 

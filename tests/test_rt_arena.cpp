@@ -13,9 +13,12 @@
 #include "model/broadcast_model.hpp"
 #include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
+#include "rt/communicator.hpp"
 #include "rt/player.hpp"
+#include "rt/verify.hpp"
 #include "routing/schedule_export.hpp"
 #include "svc/session.hpp"
+#include "trees/bst.hpp"
 #include "trees/sbt.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +26,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace hcube::rt {
@@ -109,7 +116,7 @@ TEST(RtArena, ReplayLeavesTheArenaBitIdentical) {
 
 TEST(RtArena, MovePlansOfOneShapeShareOneArena) {
     // Canonical blocks depend only on the packet id, so plans with the
-    // same packet count and stride view one arena, whatever their
+    // same packet count and block size view one arena, whatever their
     // schedules; any other shape gets its own.
     const Plan a =
         compile_plan(broadcast_schedule(3, 4), DataMode::move, kBlock, 1);
@@ -123,13 +130,133 @@ TEST(RtArena, MovePlansOfOneShapeShareOneArena) {
                   canonical_checksum(p, kBlock))
             << "packet " << p;
     }
-    EXPECT_EQ(b.footprint().arena, 4 * b.arena_stride * sizeof(double));
+    EXPECT_EQ(b.footprint().arena, 4 * b.arena_stride * sizeof(double) +
+                                       4 * sizeof(std::uint64_t));
     const Plan more =
         compile_plan(broadcast_schedule(3, 5), DataMode::move, kBlock, 1);
     EXPECT_NE(more.arena, a.arena);
     const Plan wider = compile_plan(broadcast_schedule(3, 4),
                                     DataMode::move, kBlock + 8, 1);
     EXPECT_NE(wider.arena, a.arena);
+}
+
+/// Every move-mode schedule_export hook at cube dimension n.
+std::vector<std::pair<std::string, Schedule>> move_hooks(hc::dim_t n) {
+    const auto np = static_cast<sim::packet_t>(n);
+    const auto sbt = trees::build_sbt(n, 0);
+    const auto bst = trees::build_bst(n, 0);
+    const PortModel one = PortModel::one_port_full_duplex;
+    return {
+        {"sbt_bcast",
+         routing::make_tree_broadcast(
+             sbt, BroadcastDiscipline::port_oriented, 4, one)},
+        {"paced_bcast",
+         routing::make_tree_broadcast(sbt, BroadcastDiscipline::paced, 3,
+                                      one)},
+        {"msbt_bcast", routing::make_msbt_broadcast(n, 0, 2 * np, one)},
+        {"sbt_scatter",
+         routing::make_tree_scatter(sbt, routing::ScatterPolicy::descending,
+                                    2, one)},
+        {"bst_scatter",
+         routing::make_tree_scatter(bst, routing::ScatterPolicy::cyclic, 2,
+                                    one)},
+        {"per_port_scatter",
+         routing::make_tree_scatter(sbt, routing::ScatterPolicy::per_port, 2,
+                                    PortModel::all_port)},
+        {"sbt_gather",
+         routing::make_tree_gather(sbt, routing::ScatterPolicy::descending,
+                                   2, one)},
+        {"bst_gather",
+         routing::make_tree_gather(bst, routing::ScatterPolicy::cyclic, 2,
+                                   one)},
+        {"allgather", routing::make_allgather_schedule(n)},
+        {"alltoall", routing::make_alltoall_schedule(n, 1)},
+    };
+}
+
+TEST(RtArena, DigestTableMatchesCanonicalChecksum) {
+    // The table every move-mode check reads must hold exactly the digest
+    // canonical_checksum regenerates, for every packet of every move hook.
+    // Arenas above 64 MiB (alltoall at n=8 from B=256, at n=7 from
+    // B=1020) are not built: the same (packet, B) digests are covered by
+    // the smaller block sizes and dimensions, and the test stays small.
+    constexpr std::uint64_t kMaxArenaBytes = 64ull << 20;
+    std::set<std::pair<sim::packet_t, std::size_t>> checked;
+    for (hc::dim_t n = 3; n <= 8; ++n) {
+        for (const auto& [name, schedule] : move_hooks(n)) {
+            for (const std::size_t b : {1u, 7u, 256u, 1020u, 1024u}) {
+                if (schedule.packet_count * arena_stride_of(b) *
+                        sizeof(double) >
+                    kMaxArenaBytes) {
+                    continue;
+                }
+                SCOPED_TRACE(name + " n=" + std::to_string(n) +
+                             " B=" + std::to_string(b));
+                const Plan plan =
+                    compile_plan(schedule, DataMode::move, b, 1);
+                const std::span<const std::uint64_t> digests =
+                    plan.arena_digests();
+                ASSERT_EQ(digests.size(), plan.packet_count);
+                if (!checked.emplace(plan.packet_count, b).second) {
+                    continue; // one shared arena per (packets, B)
+                }
+                for (sim::packet_t p = 0; p < plan.packet_count; ++p) {
+                    ASSERT_EQ(digests[p], canonical_checksum(p, b))
+                        << "packet " << p;
+                }
+            }
+        }
+    }
+    // Two block sizes with one stride share no arena: their digests cover
+    // different element counts.
+    const Plan narrow =
+        compile_plan(broadcast_schedule(4, 4), DataMode::move, 1020, 1);
+    const Plan wide =
+        compile_plan(broadcast_schedule(4, 4), DataMode::move, 1024, 1);
+    EXPECT_EQ(narrow.arena_stride, wide.arena_stride);
+    EXPECT_NE(narrow.arena, wide.arena);
+    EXPECT_NE(narrow.arena_digests().data(), wide.arena_digests().data());
+    for (sim::packet_t p = 0; p < 4; ++p) {
+        EXPECT_EQ(narrow.arena_digests()[p], canonical_checksum(p, 1020));
+        EXPECT_EQ(wide.arena_digests()[p], canonical_checksum(p, 1024));
+        EXPECT_NE(narrow.arena_digests()[p], wide.arena_digests()[p]);
+    }
+}
+
+TEST(RtArena, ConcurrentMoveCompilesShareOneDigestTable) {
+    // Four threads compile and play same-shape broadcasts from different
+    // roots at once: one arena, one digest table, every play clean.
+    constexpr int kThreads = 4;
+    std::vector<Plan> plans(kThreads);
+    std::vector<int> clean(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Plan& plan = plans[static_cast<std::size_t>(t)];
+            plan = compile_plan(
+                routing::make_tree_broadcast(
+                    trees::build_sbt(4, static_cast<hc::node_t>(t)),
+                    BroadcastDiscipline::port_oriented, 3,
+                    PortModel::one_port_full_duplex),
+                DataMode::move, kBlock, 1);
+            Player barrier(plan);
+            AsyncPlayer async(plan);
+            clean[static_cast<std::size_t>(t)] =
+                barrier.play().clean() && async.play().clean() ? 1 : 0;
+        });
+    }
+    for (std::thread& t : threads) {
+        t.join();
+    }
+    for (std::size_t t = 0; t < plans.size(); ++t) {
+        EXPECT_EQ(clean[t], 1) << "thread " << t;
+        EXPECT_EQ(plans[t].arena, plans[0].arena) << "thread " << t;
+        EXPECT_EQ(plans[t].arena_digests().data(),
+                  plans[0].arena_digests().data());
+    }
+    for (sim::packet_t p = 0; p < 3; ++p) {
+        EXPECT_EQ(plans[0].arena_digests()[p], canonical_checksum(p, kBlock));
+    }
 }
 
 Schedule reduce_schedule(hc::dim_t n, hc::node_t root,
@@ -328,6 +455,72 @@ TEST(RtArena, FaultHookForcesCopyThroughAndClearingRestoresZeroCopy) {
     expect_all_views_in_arena(plan, player);
 }
 
+/// Bumps the first element of the first block pushed, delivers the rest
+/// untouched: exactly one delivered copy differs from its arena block.
+class CorruptFirstPushHook final : public ft::ChannelFaultHook {
+public:
+    ft::PushVerdict on_push(std::uint32_t, std::uint32_t,
+                            std::span<double> payload) noexcept override {
+        if (!fired_) {
+            fired_ = true;
+            payload[0] += 1.0;
+        }
+        return ft::PushVerdict::deliver;
+    }
+
+private:
+    bool fired_ = false;
+};
+
+TEST(RtArena, HoldingsCheckHashesEveryCopiedBlock) {
+    // Only views that *are* the arena block share one hash per packet;
+    // a copy-through slot is hashed on its own, so a copy that differs
+    // from its arena block fails even when every other holder of that
+    // packet views the arena.
+    const Schedule schedule = broadcast_schedule(4, 2);
+    const sim::CycleStats sim_stats =
+        sim::execute_schedule(schedule, PortModel::one_port_full_duplex);
+    const Plan plan = compile_plan(schedule, DataMode::move, kBlock, 1);
+
+    Player zero_copy(plan);
+    ASSERT_TRUE(zero_copy.play().clean());
+    EXPECT_TRUE(holdings_match(plan, zero_copy, sim_stats));
+
+    AsyncPlayer copied(plan);
+    PassThroughHook pass;
+    copied.set_fault_hook(&pass);
+    ASSERT_TRUE(copied.play().clean());
+    EXPECT_TRUE(holdings_match(plan, copied, sim_stats));
+
+    CorruptFirstPushHook corrupt;
+    copied.set_fault_hook(&corrupt);
+    EXPECT_FALSE(copied.play().clean());
+    EXPECT_FALSE(holdings_match(plan, copied, sim_stats));
+}
+
+TEST(RtArena, IdenticalMemoryComparesNonAliasedSlots) {
+    const Plan plan =
+        compile_plan(broadcast_schedule(4, 2), DataMode::move, kBlock, 1);
+    Player ref(plan);
+    ASSERT_TRUE(ref.play().clean());
+    // Aliased slots (both zero-copy): identical without a compare.
+    AsyncPlayer aliased(plan);
+    ASSERT_TRUE(aliased.play().clean());
+    EXPECT_TRUE(identical_memory(plan, ref, aliased));
+    // Copy-through slots hold equal bytes at other addresses.
+    AsyncPlayer copied(plan);
+    PassThroughHook pass;
+    copied.set_fault_hook(&pass);
+    ASSERT_TRUE(copied.play().clean());
+    EXPECT_TRUE(identical_memory(plan, ref, copied));
+    // One copied slot differs from the oracle's arena view.
+    CorruptFirstPushHook corrupt;
+    copied.set_fault_hook(&corrupt);
+    EXPECT_FALSE(copied.play().clean());
+    EXPECT_FALSE(identical_memory(plan, ref, copied));
+    EXPECT_FALSE(identical_memory(plan, copied, ref));
+}
+
 TEST(SvcArena, CachedPlanReplaysStayVerifiedAndZeroCopy) {
     svc::SessionParams params;
     svc::Session session(4, params);
@@ -388,6 +581,80 @@ TEST(SvcArena, CorruptContributionArenaFailsBothVerificationPaths) {
     *element = saved;
     EXPECT_TRUE(fresh.execute(sig).verified);
     EXPECT_TRUE(steady.execute(sig).verified);
+}
+
+TEST(SvcArena, CorruptMoveArenaFailsTheFirstPass) {
+    // A first pass reads every expected digest from the arena's table, but
+    // still certifies the arena's bytes: a corrupt canonical block fails
+    // broadcast, scatter and gather alike, and passes once restored.
+    using svc::Op;
+    const svc::Signature sigs[] = {
+        {Op::broadcast, svc::Family::sbt, 4, 0, 4, kBlock,
+         PortModel::one_port_full_duplex},
+        {Op::scatter, svc::Family::sbt, 4, 2, 1, kBlock,
+         PortModel::one_port_full_duplex},
+        {Op::gather, svc::Family::bst, 4, 5, 1, kBlock,
+         PortModel::one_port_full_duplex},
+    };
+    for (const svc::Signature& sig : sigs) {
+        SCOPED_TRACE(sig.to_string());
+        // The holder keeps the shape's arena alive for the fresh sessions.
+        svc::Session holder(4, uncalibrated());
+        ASSERT_TRUE(holder.execute(sig).verified);
+        const Plan* plan = holder.cached_plan(sig);
+        ASSERT_NE(plan, nullptr);
+        ASSERT_EQ(plan->mode, DataMode::move);
+        auto* element = const_cast<double*>(plan->arena_block(0));
+        const double saved = *element;
+        *element += 1.0;
+
+        svc::Session fresh(4, uncalibrated());
+        const svc::ExecStats first = fresh.execute(sig);
+        EXPECT_TRUE(first.oracle_checked);
+        EXPECT_FALSE(first.verified);
+
+        *element = saved;
+        const svc::ExecStats again = fresh.execute(sig);
+        EXPECT_TRUE(again.oracle_checked); // a failed pass is rerun
+        EXPECT_TRUE(again.verified);
+    }
+}
+
+TEST(RtArena, CorruptMoveArenaFailsTheCommunicator) {
+    Params params;
+    params.block_elems = kBlock;
+    params.threads = 1;
+    Communicator comm(4, params);
+    const auto sbt = trees::build_sbt(4, 0);
+    const std::function<Result()> runs[] = {
+        [&] {
+            return comm.broadcast(sbt, BroadcastDiscipline::port_oriented, 4);
+        },
+        [&] {
+            return comm.scatter(sbt, routing::ScatterPolicy::descending, 1);
+        },
+        [&] {
+            return comm.gather(sbt, routing::ScatterPolicy::descending, 1);
+        },
+    };
+    // A plan of each run's shape keeps the arena it compiles against alive.
+    const Plan holders[] = {
+        compile_plan(broadcast_schedule(4, 4), DataMode::move, kBlock, 1),
+        compile_plan(routing::make_tree_scatter(
+                         sbt, routing::ScatterPolicy::descending, 1,
+                         PortModel::one_port_full_duplex),
+                     DataMode::move, kBlock, 1),
+    };
+    for (std::size_t r = 0; r < 3; ++r) {
+        SCOPED_TRACE("run " + std::to_string(r));
+        const Plan& holder = holders[r == 0 ? 0 : 1];
+        auto* element = const_cast<double*>(holder.arena_block(0));
+        const double saved = *element;
+        *element += 1.0;
+        EXPECT_FALSE(runs[r]().verified);
+        *element = saved;
+        EXPECT_TRUE(runs[r]().verified);
+    }
 }
 
 TEST(SvcArena, SteadyStateCatchesAPerturbedSlotTable) {

@@ -471,9 +471,10 @@ TEST(RtPlanFootprint, ItemizedTotalsAndTrimmedCapacity) {
     EXPECT_EQ(f.total(), plan.resident_bytes());
     // The SoA streams dominate `actions`: four u32 words per action.
     EXPECT_GE(f.actions, plan.action_count() * 16u);
-    // The arena is the padded canonical blocks and nothing else.
+    // The arena is the padded canonical blocks and their digest table.
     EXPECT_EQ(f.arena,
-              plan.packet_count * plan.arena_stride * sizeof(double));
+              plan.packet_count * plan.arena_stride * sizeof(double) +
+                  plan.packet_count * sizeof(std::uint64_t));
     EXPECT_EQ(plan.arena->packets(), plan.packet_count);
 }
 

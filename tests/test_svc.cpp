@@ -521,6 +521,18 @@ TEST(SvcSession, ReportsExactResidentBytes) {
         EXPECT_EQ(rings, 0u);
         EXPECT_EQ(dep_graph, 0u);
         EXPECT_EQ(priced.cache_resident_bytes(), steady.plan_resident_bytes);
+        // The player charges its slot views and nothing else: the digests
+        // it checks against are the arena's table, charged once, by the
+        // plan, next to the padded canonical blocks.
+        const rt::Plan* plan = priced.cached_plan(a);
+        ASSERT_NE(plan, nullptr);
+        EXPECT_EQ(steady.plan_resident_bytes,
+                  plan->resident_bytes() +
+                      plan->total_slots * sizeof(const double*));
+        EXPECT_EQ(plan->arena_digests().size(), a.packets);
+        EXPECT_EQ(plan->footprint().arena,
+                  a.packets * plan->arena_stride * sizeof(double) +
+                      a.packets * sizeof(std::uint64_t));
     }
     {
         // A combine-mode entry under Verify::never runs no oracle, yet its
