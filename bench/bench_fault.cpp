@@ -20,7 +20,7 @@
 // every run of this benchmark injects the identical scenario.
 //
 //   bench_fault [--nmin 3] [--nmax 6] [--pps 4] [--ppd 2] [--block 64]
-//               [--threads 0] [--faults-max 2] [--json <path>]
+//               [--faults-max 2] [--json <path>]
 //               [--trace-out <path>]
 //
 // --trace-out writes one chrome://tracing process per (op, n, engine,
@@ -68,7 +68,6 @@ struct Row {
     std::string op;
     std::string engine;
     dim_t n = 0;
-    std::uint32_t threads = 0;
     std::uint32_t faults = 0;
     std::uint32_t attempts = 0;
     std::uint32_t dropped_trees = 0;
@@ -112,8 +111,6 @@ int main(int argc, char** argv) {
     const auto ppd = static_cast<packet_t>(options.get_int("ppd", 2));
     const auto block =
         static_cast<std::size_t>(options.get_int("block", 64));
-    const auto threads =
-        static_cast<std::uint32_t>(options.get_int("threads", 0));
     const auto faults_max =
         static_cast<std::uint32_t>(options.get_int("faults-max", 2));
     const std::string json_path = options.get_string("json", "");
@@ -187,15 +184,13 @@ int main(int argc, char** argv) {
             for (const rt::Engine engine :
                  {rt::Engine::barrier, rt::Engine::async}) {
                 ft::ResilientParams params;
-                params.threads = threads;
                 params.block_elems = block;
                 params.engine = engine;
                 ft::ResilientComm comm(n, params);
 
                 std::unique_ptr<rt::TraceRecorder> recorder;
                 if (trace_json != nullptr) {
-                    recorder = std::make_unique<rt::TraceRecorder>(
-                        comm.threads());
+                    recorder = std::make_unique<rt::TraceRecorder>(1);
                 }
 
                 // Fault count 0 measures the healthy baseline (and the
@@ -226,7 +221,6 @@ int main(int argc, char** argv) {
                     row.op = c.name;
                     row.engine = std::string(to_string(engine));
                     row.n = n;
-                    row.threads = comm.threads();
                     row.faults = faults;
                     row.attempts = r.attempts;
                     row.dropped_trees =
@@ -273,7 +267,6 @@ int main(int argc, char** argv) {
             json.field("op", r.op);
             json.field("engine", r.engine);
             json.field("n", r.n);
-            json.field("threads", r.threads);
             json.field("block_elems", static_cast<std::uint64_t>(block));
             json.field("faults_injected", r.faults);
             json.field("attempts", r.attempts);

@@ -1,43 +1,41 @@
-// Wall-clock benchmark of the threaded collective runtime (hcube::rt):
-// delivered GB/s of the barrier and async engines across a worker-thread
-// sweep, with four cross-checks per configuration —
+// Wall-clock benchmark of the in-process collective runtime (hcube::rt):
+// the barrier oracle and the AsyncPlayer's serial walk on one-worker plans,
+// with four cross-checks per configuration —
 //   * the barrier engine's cycle count must equal the CycleExecutor
 //     makespan of the same schedule exactly,
 //   * the makespan is printed next to the model:: closed-form step count
 //     (Table 3) where one exists,
 //   * every delivered block is checksum-verified,
 //   * the async engine's final memory must be byte-identical to the
-//     barrier engine's (the dataflow engine's oracle check).
+//     barrier engine's (the oracle check).
 //
-// Every (workload, n, threads) runs under both engines; the async row's
-// `speedup` column is barrier-seconds / async-seconds at identical payload
-// and thread count — the measured cost of two global barriers per routing
-// cycle versus dependency-only synchronization.
+// Every (workload, n, block) runs under both engines: one barrier row and
+// one async row. The async row's `speedup` column is barrier-seconds /
+// async-seconds at identical payload — the measured cost of two barrier
+// crossings per routing cycle against the barrier-free walk.
 //
 // The timed region is play() only: schedule generation, plan compilation
 // and allocation are excluded, mirroring bench_executor.
 //
-// The default block size (32 doubles) sits in the latency-bound regime
-// where per-cycle synchronization dominates; large blocks (--block 1024+)
-// move both engines into the bandwidth-bound regime where equal bytes mean
-// near-equal time — the live form of the paper's B_opt trade-off
-// (docs/RUNTIME.md).
+// Rows report bytes, not bandwidth: payload_bytes is the logical payload
+// delivered (blocks x block bytes), bytes_copied the payload the engine
+// actually memcpy'd — 0 on the zero-copy delivery path, where a hop
+// forwards a pointer and no GB/s figure would mean anything.
 //
 //   bench_rt --nmin 4 --nmax 8 [--pps 4] [--ppd 2] [--block 32,1024]
-//            [--threads T (0 sweeps 1,2,4,hw)] [--reps 3] [--min-time 0.1]
-//            [--json <path>] [--trace-out <path>]
+//            [--reps 3] [--min-time 0.1] [--json <path>]
+//            [--trace-out <path>]
 //
 // --block takes a comma-separated list of block sizes (doubles); the
-// default "32,1024" covers both regimes in one run. Each JSON row also
-// reports bytes_copied (payload memcpys the engine performed — 0 on the
-// zero-copy delivery path), checksum_gbs (the standalone digest throughput
-// of the dispatched checksum kernel at that block size), and mode (how the
-// engine actually executed: barrier, serial, or stealing).
+// default "32,1024" covers a latency-bound and a bandwidth-bound size in
+// one run. Each JSON row also reports checksum_gbs (the standalone digest
+// throughput of the dispatched checksum kernel at that block size) and
+// mode (how the engine executed: barrier or serial).
 //
 // --trace-out writes a chrome://tracing (Perfetto-compatible) JSON file:
-// one extra instrumented run per (workload, n, threads, engine)
-// configuration, per-worker begin/end of every send/recv action, one
-// process (pid) per configuration. Keep the sweep narrow when tracing.
+// one extra instrumented run per (workload, n, block, engine)
+// configuration, begin/end of every send/recv action, one process (pid)
+// per configuration. Keep the sweep narrow when tracing.
 #include "bench_util.hpp"
 
 #include "common/json.hpp"
@@ -48,20 +46,17 @@
 #include "rt/communicator.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
-#include "rt/pool.hpp"
 #include "rt/simd.hpp"
-#include "rt/threads.hpp"
+#include "rt/tracing.hpp"
+#include "rt/verify.hpp"
 #include "sim/cycle.hpp"
 #include "trees/bst.hpp"
 #include "trees/sbt.hpp"
-
-#include "rt/tracing.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -90,24 +85,21 @@ struct Row {
     std::string algo;
     std::string engine; ///< barrier | async
     dim_t n = 0;
-    std::uint32_t threads = 0;
     std::uint64_t block_elems = 0;
     packet_t packets = 0;
     std::uint32_t rt_cycles = 0;
     std::uint32_t sim_makespan = 0;
     double model_steps = 0;
     std::uint64_t blocks_delivered = 0;
-    std::uint64_t payload_bytes = 0;
+    std::uint64_t payload_bytes = 0; ///< logical: blocks x block bytes
     std::uint64_t bytes_copied = 0; ///< 0 on the zero-copy delivery path
-    std::uint64_t steals = 0;
     std::uint64_t checksum_failures = 0;
     std::uint64_t channel_faults = 0;
     std::uint64_t timeouts = 0;
-    double seconds = 0; ///< best-of-reps wall clock of the threaded region
-    double gbps = 0;
+    double seconds = 0; ///< best-of-reps wall clock of play()
     double checksum_gbs = 0; ///< standalone digest kernel throughput
     double speedup = 0; ///< async rows: barrier seconds / async seconds
-    std::string mode; ///< barrier | serial | stealing (last rep's choice)
+    std::string mode; ///< barrier | serial
     std::string transport = "ring"; ///< medium the blocks moved over
     bool verified = false;
 };
@@ -169,44 +161,6 @@ double checksum_throughput(std::size_t block_elems) {
            1e-9;
 }
 
-/// The worker counts to sweep: {1, 2, 4, auto} clamped/deduplicated via
-/// the shared pick_worker_threads policy, or just the explicit request.
-std::vector<std::uint32_t> thread_counts(dim_t n, std::uint32_t requested) {
-    std::vector<std::uint32_t> out;
-    const auto add = [&out, n](std::uint32_t t) {
-        const std::uint32_t picked = hcube::rt::pick_worker_threads(n, t);
-        if (std::ranges::find(out, picked) == out.end()) {
-            out.push_back(picked);
-        }
-    };
-    if (requested != 0) {
-        add(requested);
-        return out;
-    }
-    add(1);
-    add(2);
-    add(4);
-    add(0); // auto: max(2, hardware_concurrency), clamped to 2^n
-    std::ranges::sort(out);
-    return out;
-}
-
-/// Byte-identical final-state comparison, slot by slot.
-bool identical_memory(const hcube::rt::Plan& plan,
-                      const hcube::rt::Player& ref,
-                      const hcube::rt::AsyncPlayer& dut) {
-    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-        const auto a = ref.block(plan.slot_node[s], plan.slot_packet[s]);
-        const auto b = dut.block(plan.slot_node[s], plan.slot_packet[s]);
-        if (a.size() != b.size() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) !=
-                0) {
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -221,8 +175,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--block needs a comma-separated size list\n");
         return 1;
     }
-    const auto threads =
-        static_cast<std::uint32_t>(options.get_int("threads", 0));
     const auto reps = static_cast<int>(options.get_int("reps", 3));
     const double min_time = options.get_double("min-time", 0.1);
     const std::string json_path = options.get_string("json", "");
@@ -241,15 +193,13 @@ int main(int argc, char** argv) {
 
     hcube::bench::banner(
         "Runtime throughput",
-        "barrier vs dataflow engines: GB/s and wall-clock speedups");
+        "barrier oracle vs serial walk: wall clock and bytes moved");
     std::string block_list;
     for (const std::size_t b : blocks) {
         block_list += (block_list.empty() ? "" : ",") + std::to_string(b);
     }
-    std::printf("  threads=%s blocks=%s doubles  checksum dispatch=%s "
+    std::printf("  blocks=%s doubles  checksum dispatch=%s "
                 "(timed region: play() only, best of >= %d reps)\n\n",
-                threads == 0 ? "1,2,4,auto"
-                             : std::to_string(threads).c_str(),
                 block_list.c_str(), hcube::rt::simd::dispatch_name(), reps);
 
     // The digest kernel's standalone throughput per block size — attached
@@ -306,10 +256,11 @@ int main(int argc, char** argv) {
          [](dim_t, packet_t) { return 0.0; }},
     };
 
-    std::printf("%-12s %3s %5s %4s %-8s %8s %7s %10s %9s %9s %-8s %8s "
+    std::printf("%-12s %3s %5s %-8s %8s %7s %10s %12s %12s %9s %-8s %8s "
                 "%5s\n",
-                "workload", "n", "blk", "thr", "engine", "packets",
-                "cycles", "blocks", "ms", "GB/s", "mode", "speedup", "ok");
+                "workload", "n", "blk", "engine", "packets", "cycles",
+                "blocks", "payload B", "copied B", "us", "mode", "speedup",
+                "ok");
 
     std::vector<Row> rows;
     for (const Workload& w : workloads) {
@@ -319,27 +270,17 @@ int main(int argc, char** argv) {
                 schedule, PortModel::one_port_full_duplex);
 
             for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
-            const std::size_t block = blocks[bi];
-            for (const std::uint32_t use_threads :
-                 thread_counts(n, threads)) {
+                const std::size_t block = blocks[bi];
                 const hcube::rt::Plan plan = hcube::rt::compile_plan(
-                    schedule, hcube::rt::DataMode::move, block,
-                    use_threads);
+                    schedule, hcube::rt::DataMode::move, block, 1);
                 hcube::rt::Player barrier_player(plan);
                 hcube::rt::AsyncPlayer async_player(plan);
-                // Both engines replay on one persistent pool, so the rows
-                // measure steady-state execution with zero thread churn.
-                const auto pool =
-                    use_threads > 1
-                        ? std::make_unique<hcube::rt::WorkerPool>(use_threads)
-                        : nullptr;
 
                 Row base;
                 base.workload = w.name;
                 base.op = w.op;
                 base.algo = w.algo;
                 base.n = n;
-                base.threads = use_threads;
                 base.block_elems = block;
                 base.packets = schedule.packet_count;
                 base.sim_makespan = sim_stats.makespan;
@@ -348,29 +289,26 @@ int main(int argc, char** argv) {
 
                 // One rep loop per engine, identical policy: best-of wall
                 // clock over >= reps runs or min_time, whichever is later.
-                const auto measure = [&](auto& player, Row& row,
-                                         bool check_makespan) {
+                const auto measure = [&](auto& player, Row& row) {
                     row.seconds = 1e300;
                     row.verified = true;
                     double elapsed = 0.0;
                     int runs = 0;
                     while (runs < reps || elapsed < min_time) {
-                        const auto stats = player.play(pool.get());
+                        const auto stats = player.play();
                         row.rt_cycles = stats.cycles;
                         row.blocks_delivered = stats.blocks_delivered;
                         row.payload_bytes = stats.payload_bytes;
                         row.bytes_copied = stats.bytes_copied;
                         row.mode = hcube::rt::to_string(stats.mode);
                         row.transport = hcube::ft::to_string(stats.transport);
-                        row.steals = stats.steals;
                         row.checksum_failures += stats.checksum_failures;
                         row.channel_faults += stats.channel_faults;
                         row.timeouts += stats.timeouts;
                         row.seconds = std::min(row.seconds, stats.seconds);
                         row.verified =
                             row.verified && stats.clean() &&
-                            (!check_makespan ||
-                             stats.cycles == sim_stats.makespan) &&
+                            stats.cycles == sim_stats.makespan &&
                             stats.blocks_delivered ==
                                 schedule.sends.size();
                         elapsed += stats.seconds;
@@ -379,35 +317,37 @@ int main(int argc, char** argv) {
                             break;
                         }
                     }
-                    row.gbps = static_cast<double>(row.payload_bytes) /
-                               row.seconds * 1e-9;
                 };
 
                 Row barrier_row = base;
                 barrier_row.engine = "barrier";
-                measure(barrier_player, barrier_row, true);
+                measure(barrier_player, barrier_row);
 
                 Row async_row = base;
                 async_row.engine = "async";
-                measure(async_player, async_row, true);
+                measure(async_player, async_row);
                 // The oracle check: after both engines' final reps the
                 // memory images must agree byte for byte.
                 async_row.verified =
                     async_row.verified && barrier_row.verified &&
-                    identical_memory(plan, barrier_player, async_player);
+                    hcube::rt::identical_memory(plan, barrier_player,
+                                                async_player);
                 async_row.speedup =
                     barrier_row.seconds / async_row.seconds;
 
                 for (const Row* row : {&barrier_row, &async_row}) {
-                    std::printf("%-12s %3d %5zu %4u %-8s %8u %7u %10llu "
-                                "%9.3f %9.3f %-8s ",
+                    std::printf("%-12s %3d %5zu %-8s %8u %7u %10llu %12llu "
+                                "%12llu %9.2f %-8s ",
                                 row->workload.c_str(), n, block,
-                                row->threads, row->engine.c_str(),
-                                row->packets, row->rt_cycles,
+                                row->engine.c_str(), row->packets,
+                                row->rt_cycles,
                                 static_cast<unsigned long long>(
                                     row->blocks_delivered),
-                                row->seconds * 1e3, row->gbps,
-                                row->mode.c_str());
+                                static_cast<unsigned long long>(
+                                    row->payload_bytes),
+                                static_cast<unsigned long long>(
+                                    row->bytes_copied),
+                                row->seconds * 1e6, row->mode.c_str());
                     if (row->speedup > 0) {
                         std::printf("%7.2fx ", row->speedup);
                     } else {
@@ -424,8 +364,8 @@ int main(int argc, char** argv) {
                     // configuration becomes its own chrome-trace process.
                     const std::string label =
                         w.name + " n=" + std::to_string(n) +
-                        " t=" + std::to_string(use_threads);
-                    hcube::rt::TraceRecorder recorder(use_threads);
+                        " blk=" + std::to_string(block);
+                    hcube::rt::TraceRecorder recorder(1);
                     barrier_player.set_trace(&recorder);
                     (void)barrier_player.play();
                     barrier_player.set_trace(nullptr);
@@ -439,31 +379,28 @@ int main(int argc, char** argv) {
                                                   label + " async");
                 }
             }
-            }
         }
     }
 
     // Headline algorithm-vs-algorithm speedups, measured on the barrier
-    // engine at the widest swept thread count: the paper's latency
-    // argument (fewer routing cycles at equal bytes) is a statement about
-    // the per-cycle synchronization cost, which is exactly what the
-    // barrier engine pays and the async engine retires. The async rows'
-    // own speedup column quantifies that retirement per workload.
+    // engine: the paper's latency argument (fewer routing cycles at equal
+    // bytes) is a statement about the per-cycle synchronization cost,
+    // which is exactly what the barrier engine pays and the serial walk
+    // retires. The async rows' own speedup column quantifies that
+    // retirement per workload.
     const std::size_t headline_block = blocks.front();
     const auto find = [&rows, headline_block](const std::string& name,
                                               dim_t n) -> const Row* {
-        const Row* best = nullptr;
         for (const Row& r : rows) {
             if (r.workload == name && r.n == n && r.engine == "barrier" &&
-                r.block_elems == headline_block &&
-                (best == nullptr || r.threads > best->threads)) {
-                best = &r;
+                r.block_elems == headline_block) {
+                return &r;
             }
         }
-        return best;
+        return nullptr;
     };
     std::printf("\n%-28s %3s %10s %10s %8s\n",
-                "speedup (barrier engine)", "n", "base ms", "fast ms",
+                "speedup (barrier engine)", "n", "base us", "fast us",
                 "ratio");
     for (dim_t n = nmin; n <= nmax; ++n) {
         const struct {
@@ -481,7 +418,7 @@ int main(int argc, char** argv) {
                 continue;
             }
             std::printf("%-28s %3d %10.3f %10.3f %7.2fx\n", pair.label, n,
-                        b->seconds * 1e3, f->seconds * 1e3,
+                        b->seconds * 1e6, f->seconds * 1e6,
                         b->seconds / f->seconds);
         }
     }
@@ -500,7 +437,6 @@ int main(int argc, char** argv) {
             json.field("algo", r.algo);
             json.field("engine", r.engine);
             json.field("n", r.n);
-            json.field("threads", r.threads);
             json.field("block_elems", r.block_elems);
             json.field("packets", r.packets);
             json.field("rt_cycles", r.rt_cycles);
@@ -518,11 +454,8 @@ int main(int argc, char** argv) {
             json.field("channel_faults", r.channel_faults);
             json.field("timeouts", r.timeouts);
             json.field("seconds", r.seconds);
-            json.field("gbytes_per_sec", r.gbps);
-            json.field("pool_reused", true);
             if (r.engine == "async") {
                 json.field("speedup_vs_barrier", r.speedup);
-                json.field("steals", r.steals);
             }
             json.field("verified", r.verified);
             json.end_row();

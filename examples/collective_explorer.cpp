@@ -12,8 +12,8 @@
 //   --port  half | full | all
 //   --trace print a per-link Gantt chart and utilization statistics
 //   --dump-schedule <path>  write the cycle schedule as CSV
-//   --rt [--threads T]  additionally execute the schedule on real worker
-//         threads (hcube::rt) and print measured wall clock and GB/s
+//   --rt  additionally execute the schedule as real data movement
+//         (hcube::rt) and print measured wall clock and bytes moved
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "routing/broadcast.hpp"
@@ -66,13 +66,15 @@ trees::SpanningTree build(const std::string& algo, hc::dim_t n,
     throw check_error("unknown --algo");
 }
 
-/// Runs one collective through the threaded runtime and prints measured
-/// wall clock, delivered GB/s, and whether every block checksum-verified.
+/// Runs one collective through the runtime and prints measured wall clock,
+/// logical payload and copied bytes, and whether every block
+/// checksum-verified.
 void print_rt_result(const hcube::rt::Result& result) {
-    std::printf("  rt (threads=%u): %u cycles (sim makespan %u), "
-                "%.3f ms, %.3f GB/s, %s\n",
-                result.threads, result.rt_cycles, result.sim_makespan,
-                result.seconds * 1e3, result.gbytes_per_sec(),
+    std::printf("  rt: %u cycles (sim makespan %u), %.3f ms, %llu payload "
+                "bytes (%llu copied), %s\n",
+                result.rt_cycles, result.sim_makespan, result.seconds * 1e3,
+                static_cast<unsigned long long>(result.payload_bytes),
+                static_cast<unsigned long long>(result.bytes_copied),
                 result.verified ? "verified" : "VERIFICATION FAILED");
 }
 
@@ -157,12 +159,9 @@ int main(int argc, char** argv) {
         }
         std::printf("  simulated time: %.6f s\n", time);
 
-        // Real data movement on worker threads, cross-checked against the
-        // cycle simulator.
+        // Real data movement, cross-checked against the cycle simulator.
         if (options.has("rt")) {
             rt::Params rt_params;
-            rt_params.threads = static_cast<std::uint32_t>(
-                options.get_int("threads", 0));
             rt_params.model = port;
             rt::Communicator comm(n, rt_params);
             if (algo == "msbt") {
@@ -215,8 +214,6 @@ int main(int argc, char** argv) {
                             "schedule; skipped\n");
             } else {
                 rt::Params rt_params;
-                rt_params.threads = static_cast<std::uint32_t>(
-                    options.get_int("threads", 0));
                 rt_params.model = port;
                 rt::Communicator comm(n, rt_params);
                 const auto policy =

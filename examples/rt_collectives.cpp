@@ -1,9 +1,9 @@
-// Runs every collective of the threaded runtime (hcube::rt) once on real
-// worker threads and prints the measured wall clock next to the cycle
+// Runs every collective of the runtime (hcube::rt) once as real data
+// movement and prints the measured wall clock next to the cycle
 // simulator's makespan — the quickest way to see schedules as actual data
 // movement rather than cycle counts.
 //
-//   rt_collectives [--dim 5] [--threads 0=auto] [--block 512] [--pps 2]
+//   rt_collectives [--dim 5] [--block 512] [--pps 2]
 #include "common/cli.hpp"
 #include "rt/communicator.hpp"
 #include "trees/bst.hpp"
@@ -19,22 +19,21 @@ int main(int argc, char** argv) {
     const auto pps = static_cast<sim::packet_t>(options.get_int("pps", 2));
 
     rt::Params params;
-    params.threads =
-        static_cast<std::uint32_t>(options.get_int("threads", 0));
     params.block_elems =
         static_cast<std::size_t>(options.get_int("block", 512));
     rt::Communicator comm(n, params);
 
-    std::printf("hcube::rt collectives on a %d-cube, %u threads, "
-                "%zu doubles per block\n\n",
-                n, comm.threads(), params.block_elems);
-    std::printf("%-22s %8s %9s %9s %9s %6s\n", "collective", "cycles",
-                "blocks", "ms", "GB/s", "ok");
+    std::printf("hcube::rt collectives on a %d-cube, %zu doubles per "
+                "block\n\n",
+                n, params.block_elems);
+    std::printf("%-22s %8s %9s %12s %9s %6s\n", "collective", "cycles",
+                "blocks", "copied B", "ms", "ok");
 
     const auto report = [](const char* name, const rt::Result& r) {
-        std::printf("%-22s %8u %9llu %9.3f %9.3f %6s\n", name, r.rt_cycles,
+        std::printf("%-22s %8u %9llu %12llu %9.3f %6s\n", name, r.rt_cycles,
                     static_cast<unsigned long long>(r.blocks_delivered),
-                    r.seconds * 1e3, r.gbytes_per_sec(),
+                    static_cast<unsigned long long>(r.bytes_copied),
+                    r.seconds * 1e3,
                     r.verified && r.rt_cycles == r.sim_makespan ? "yes"
                                                                 : "NO");
     };

@@ -10,7 +10,7 @@
 //   inject   FaultPlan + ChannelFaultHook — a deterministic, PRNG-seedable
 //            list of per-directed-link faults applied inside ChannelBank at
 //            the instant a block is pushed, so the barrier Player and the
-//            dataflow AsyncPlayer feel byte-identical failures;
+//            AsyncPlayer feel byte-identical failures;
 //   detect   DetectConfig + FaultReport — a bounded arrival wait on pops
 //            plus the existing per-block checksum, promoted from a counter
 //            into a structured report (which directed link, which logical
@@ -179,7 +179,7 @@ struct FaultReport {
 };
 
 /// The physical medium a plan's blocks travel over. `ring` is the
-/// in-process SPSC descriptor ring bank (nodes are threads); `uds` and
+/// in-process SPSC descriptor ring bank; `uds` and
 /// `tcp` are the hcube::net socket transports (nodes are processes on one
 /// host / across hosts). Detection bounds, retry pacing, and the bench
 /// JSON's `transport` column are all keyed on this.

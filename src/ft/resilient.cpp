@@ -5,7 +5,6 @@
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/checksum.hpp"
-#include "rt/threads.hpp"
 #include "sim/cycle.hpp"
 #include "trees/fault.hpp"
 #include "trees/sbt.hpp"
@@ -35,17 +34,17 @@ struct Oracle {
 
 Oracle build_oracle(const Schedule& schedule,
                     std::vector<std::pair<node_t, packet_t>> contract,
-                    const ResilientParams& params, std::uint32_t threads,
+                    const ResilientParams& params,
                     std::span<const node_t> members = {}) {
-    // The cycle executor proves the schedule feasible before it ever runs
-    // on real threads.
+    // The cycle executor proves the schedule feasible before it ever moves
+    // a real block.
     (void)sim::execute_schedule(schedule,
                                 sim::PortModel::one_port_full_duplex);
 
     Oracle oracle;
     oracle.plan = std::make_unique<rt::Plan>(
-        compile_plan(schedule, rt::DataMode::move, params.block_elems,
-                     threads, 8, rt::PlanLayout::automatic, members));
+        compile_plan(schedule, rt::DataMode::move, params.block_elems, 1,
+                     8, rt::PlanLayout::automatic, members));
     oracle.player =
         std::make_unique<rt::Player>(*oracle.plan, params.channel_capacity);
     const rt::PlayStats stats = oracle.player->play();
@@ -150,7 +149,6 @@ struct ResilientComm::OracleStore {
 
 ResilientComm::ResilientComm(dim_t n, ResilientParams params)
     : n_(n), params_(params),
-      threads_(rt::pick_worker_threads(n, params.threads)),
       oracles_(std::make_unique<OracleStore>()), view_(n) {
     HCUBE_ENSURE(n >= 1 && n <= hc::kMaxDimension);
     HCUBE_ENSURE(params_.block_elems >= 1);
@@ -175,7 +173,7 @@ RecoveryResult ResilientComm::run_resilient(const std::string& oracle_key,
         cached = oracles_->by_key
                      .emplace(oracle_key,
                               build_oracle(initial, std::move(contract),
-                                           params_, threads_))
+                                           params_))
                      .first;
     }
     const Oracle& oracle = cached->second;
@@ -188,7 +186,7 @@ RecoveryResult ResilientComm::run_resilient(const std::string& oracle_key,
          ++attempt) {
         const clock::time_point attempt_start = clock::now();
         const rt::Plan plan = compile_plan(
-            schedule, rt::DataMode::move, params_.block_elems, threads_);
+            schedule, rt::DataMode::move, params_.block_elems, 1);
         injector.arm(plan);
 
         // One attempt on either engine; returns true when the run was
@@ -317,8 +315,6 @@ RecoveryResult ResilientComm::run_member_resilient(
         // its oracle once.
         const Schedule schedule = make(view_);
         const std::vector<node_t> members = view_.members();
-        const std::uint32_t workers = std::min(
-            threads_, static_cast<std::uint32_t>(members.size()));
         const std::string key =
             op_key + "/" + std::to_string(view_.fingerprint());
         auto cached = oracles_->by_key.find(key);
@@ -327,8 +323,7 @@ RecoveryResult ResilientComm::run_member_resilient(
                          .emplace(key, build_oracle(schedule,
                                                     contract_of(schedule,
                                                                 view_),
-                                                    params_, workers,
-                                                    members))
+                                                    params_, members))
                          .first;
             out.oracle_seconds += cached->second.seconds;
         }
@@ -336,7 +331,7 @@ RecoveryResult ResilientComm::run_member_resilient(
 
         const rt::Plan plan =
             compile_plan(schedule, rt::DataMode::move, params_.block_elems,
-                         workers, 8, rt::PlanLayout::automatic, members);
+                         1, 8, rt::PlanLayout::automatic, members);
         injector.arm(plan);
 
         const auto execute = [&](auto& player) {

@@ -49,8 +49,6 @@
 namespace hcube::ft {
 
 struct ResilientParams {
-    /// Worker threads; 0 picks min(2^n, max(2, hardware_concurrency)).
-    std::uint32_t threads = 0;
     /// Elements (doubles) per packet block.
     std::size_t block_elems = 64;
     /// Ring slots per link channel (barrier engine).
@@ -106,10 +104,10 @@ public:
     ResilientComm& operator=(const ResilientComm&) = delete;
 
     [[nodiscard]] dim_t dimension() const noexcept { return n_; }
-    [[nodiscard]] std::uint32_t threads() const noexcept { return threads_; }
 
-    /// Attaches a trace recorder (>= threads() lanes) so every attempt's
-    /// actions land in one timeline; nullptr detaches.
+    /// Attaches a trace recorder so every attempt's actions land in one
+    /// timeline (lane 0: every attempt runs one-worker plans); nullptr
+    /// detaches.
     void set_trace(rt::TraceRecorder* trace) noexcept { trace_ = trace; }
 
     /// Pipelined (paced) broadcast of `packets` blocks from `root` down the
@@ -199,7 +197,6 @@ private:
 
     dim_t n_;
     ResilientParams params_;
-    std::uint32_t threads_;
     rt::TraceRecorder* trace_ = nullptr;
     std::unique_ptr<OracleStore> oracles_;
     mbr::View view_;

@@ -73,7 +73,7 @@ NetPlayStats NetPlayer::play() {
     const auto stop = std::chrono::steady_clock::now();
 
     stats.cycles = plan_.cycles;
-    stats.mode = rt::ExecMode::barrier; // lockstep bucket order, no steals
+    stats.mode = rt::ExecMode::barrier; // lockstep bucket order
     stats.transport = transport_;
     stats.seconds = std::chrono::duration<double>(stop - start).count();
     stats.payload_bytes =

@@ -160,7 +160,7 @@ void encode_report(std::vector<std::uint8_t>& out, const ReportMsg& msg) {
     ByteWriter w(out);
     w.u8(static_cast<std::uint8_t>(MsgType::report));
     w.u32(msg.rank);
-    // PlayStats (steals omitted: the per-process engine never steals).
+    // PlayStats.
     w.u32(msg.play.cycles);
     w.u64(msg.play.blocks_sent);
     w.u64(msg.play.blocks_delivered);
@@ -233,7 +233,7 @@ bool decode_report(std::span<const std::uint8_t> frame,
     msg.fault.cycle = r.u32();
     msg.fault.packet = r.u32();
     if (!r.done() ||
-        mode > static_cast<std::uint8_t>(rt::ExecMode::stealing) ||
+        mode > static_cast<std::uint8_t>(rt::ExecMode::serial) ||
         transport > static_cast<std::uint8_t>(ft::TransportClass::tcp) ||
         cls > static_cast<std::uint8_t>(ft::DetectClass::stream_mismatch)) {
         return false;

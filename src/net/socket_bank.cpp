@@ -13,8 +13,8 @@ std::uint32_t SocketChannelBank::ring_capacity(const rt::Plan& plan) {
     // ring at least that deep, the engine's own pacing is the only flow
     // control the local path needs, and an ingress burst can never drop.
     std::vector<std::uint32_t> pushes(plan.channel_count, 0);
-    for (const rt::Action& a : plan.sends) {
-        ++pushes[a.channel];
+    for (std::uint32_t l = 0; l < plan.lowered_count(); ++l) {
+        ++pushes[plan.lowered_send(l).channel];
     }
     const std::uint32_t deepest =
         pushes.empty() ? 0u : *std::ranges::max_element(pushes);

@@ -3,52 +3,20 @@
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
 #include "rt/delivery.hpp"
-#include "rt/pool.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <deque>
-#include <mutex>
-#include <thread>
 
 namespace hcube::rt {
-
-namespace {
-
-constexpr std::uint32_t kNoAction = ~std::uint32_t{0};
-
-/// Below this many actions per worker the queue/steal machinery costs more
-/// than it buys; such plans take the serial fast path unconditionally.
-constexpr std::uint32_t kSerialActionsPerWorker = 32;
-
-void cpu_relax() noexcept {
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
-}
-
-} // namespace
-
-/// Per-worker run queue + stats, padded so two workers' queue heads never
-/// false-share. The owner pops from the back (LIFO: depth-first along the
-/// chain of actions it just enabled); thieves pop from the front (FIFO:
-/// the oldest ready action is the most likely to unblock a long chain).
-struct alignas(64) AsyncPlayer::Worker {
-    std::mutex mutex;
-    std::deque<std::uint32_t> queue;
-    PlayStats stats;
-};
 
 AsyncPlayer::AsyncPlayer(const Plan& plan, std::uint32_t channel_capacity)
     : plan_(plan),
       channel_capacity_(std::bit_ceil(std::max<std::uint32_t>(
           channel_capacity == 0 ? plan.async_depth : channel_capacity, 1))),
-      views_(static_cast<std::size_t>(plan.total_slots), nullptr),
-      deps_(plan.dep_count.size()) {
+      views_(static_cast<std::size_t>(plan.total_slots), nullptr) {
     HCUBE_ENSURE_MSG(channel_capacity_ >= plan.async_depth,
-                     "channel ring shallower than the depth the plan's "
-                     "capacity edges were emitted for");
+                     "channel ring shallower than the plan's async_depth");
     const std::uint64_t bytes =
         plan.total_slots * plan.block_elems * sizeof(double);
     HCUBE_ENSURE_MSG(bytes <= (std::uint64_t{1} << 34),
@@ -102,117 +70,17 @@ std::span<const double> AsyncPlayer::block(node_t node,
 std::uint64_t AsyncPlayer::resident_bytes() const noexcept {
     return ring_bytes() +
            std::uint64_t{views_.capacity()} * sizeof(const double*) +
-           std::uint64_t{memory_.capacity()} * sizeof(double) +
-           std::uint64_t{deps_.size()} *
-               sizeof(std::atomic<std::uint32_t>);
-}
-
-void AsyncPlayer::execute(const RunContext& ctx, std::uint32_t action,
-                          std::uint32_t worker, PlayStats& stats) {
-    // Hot fields come from the plan's SoA action streams — four sequential
-    // u32 arrays indexed by the interleaved id, so the two halves of one
-    // hop read adjacent memory. The schedule cycle is diagnostics-only
-    // (fault reports, traces) and recovered lazily: the compact layout
-    // keeps no per-hop cycle stamp.
-    const ActionFields f = plan_.fields(action);
-    const std::uint32_t cycle =
-        ctx.detecting || ctx.trace != nullptr
-            ? plan_.cycle_of_lowered(Plan::lowered_of(action))
-            : 0;
-    if (plan_.is_send_action(action)) {
-        send_block(ctx, {f.channel, f.slot, f.packet, f.seq, cycle}, worker,
-                   stats);
-        return;
-    }
-    (void)deliver_block(ctx, {f.channel, f.slot, f.packet, f.seq, cycle},
-                        /*check_seq=*/true, worker, stats);
-}
-
-void AsyncPlayer::finish(std::uint32_t action, Worker* workers) {
-    for (std::uint32_t e = plan_.succ_begin[action];
-         e < plan_.succ_begin[action + 1]; ++e) {
-        const std::uint32_t succ = plan_.succ[e];
-        // acq_rel: the final decrement acquires every predecessor's writes
-        // (block memory, ring slots) before the successor may run anywhere.
-        if (deps_[succ].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            // A newly ready action always goes to its owner's queue, even
-            // when a thief completed the enabling action — LIFO locality is
-            // the owner's, stealing only rebalances.
-            Worker& target = workers[plan_.owner_of(plan_.action_node(succ))];
-            const std::lock_guard lock(target.mutex);
-            target.queue.push_back(succ);
-        }
-    }
-    completed_.fetch_add(1, std::memory_order_release);
-}
-
-void AsyncPlayer::run_worker(std::uint32_t worker, Worker* workers) {
-    Worker& self = workers[worker];
-    const std::uint32_t count = plan_.workers;
-    const std::uint64_t total = plan_.action_count();
-    const RunContext ctx{plan_,          *channels_,
-                         views_.data(),  memory_.data(),
-                         plan_.arena_digests().data(),
-                         detect_,        arbiter_,
-                         trace_,         detect_.enabled(),
-                         copy_through_};
-    std::uint32_t misses = 0;
-    // On abort every worker simply exits its loop: unfinished actions stay
-    // unfinished (their dep counters never reach zero), and play() rewinds
-    // channels and counters before the next run.
-    while (completed_.load(std::memory_order_acquire) < total &&
-           !arbiter_.aborted()) {
-        std::uint32_t action = kNoAction;
-        {
-            const std::lock_guard lock(self.mutex);
-            if (!self.queue.empty()) {
-                action = self.queue.back();
-                self.queue.pop_back();
-            }
-        }
-        if (action == kNoAction) {
-            for (std::uint32_t d = 1; d < count && action == kNoAction;
-                 ++d) {
-                Worker& victim = workers[(worker + d) % count];
-                const std::lock_guard lock(victim.mutex);
-                if (!victim.queue.empty()) {
-                    action = victim.queue.front();
-                    victim.queue.pop_front();
-                    ++self.stats.steals;
-                }
-            }
-        }
-        if (action == kNoAction) {
-            // Out of work but the run is not over: someone else holds the
-            // frontier. Back off in stages — spin briefly (the frontier
-            // usually reappears within nanoseconds), then yield
-            // (oversubscribed hosts), and eventually nap so a starved tail
-            // doesn't hammer every victim lock.
-            ++misses;
-            if (misses < 64) {
-                cpu_relax();
-            } else if (misses < 1024) {
-                std::this_thread::yield();
-            } else {
-                std::this_thread::sleep_for(std::chrono::microseconds(50));
-            }
-            continue;
-        }
-        misses = 0;
-        execute(ctx, action, worker, self.stats);
-        finish(action, workers);
-    }
+           std::uint64_t{memory_.capacity()} * sizeof(double);
 }
 
 void AsyncPlayer::run_serial(PlayStats& stats, bool ring_walk) {
-    // (cycle, sends-before-recvs, lowered index) is a topological order of
-    // the dependency graph and exactly the barrier oracle's execution
-    // order, so this walk is byte-identical to it — including combine-mode
-    // accumulation order — with no queues, no atomics, no barriers.
+    // (cycle, sends-before-recvs, lowered index) is the barrier oracle's
+    // execution order, so this walk is byte-identical to it — including
+    // combine-mode accumulation order — with no queues, no atomics, no
+    // barriers.
     //
     // Zero-copy move traffic with no tracer and no detector needs no ring
-    // at all when there is only one executing thread: the rings exist to
-    // hand descriptors across threads, and here the hop *is* the view
+    // at all: with one executing thread the hop *is* the view
     // assignment. The integrity check gets stronger, not weaker — instead
     // of comparing the descriptor's digest word (published from the same
     // table it is checked against), the forwarded view must be the
@@ -243,9 +111,8 @@ void AsyncPlayer::run_serial(PlayStats& stats, bool ring_walk) {
                          detect_,        arbiter_,
                          trace_,         detect_.enabled(),
                          copy_through_};
-    // This walk is sequential in hop order, so the layout-agnostic lowered
-    // accessors stream it contiguously in either encoding (interleaved SoA
-    // entries 2l / 2l+1 on compact, the flat AoS mirrors on wide).
+    // Sequential in hop order: the lowered accessors stream the
+    // interleaved SoA entries 2l / 2l+1 contiguously.
     for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
         if (ctx.detecting && arbiter_.aborted()) {
             break;
@@ -270,82 +137,25 @@ void AsyncPlayer::run_serial(PlayStats& stats, bool ring_walk) {
     }
 }
 
-PlayStats AsyncPlayer::play(WorkerPool* pool) {
+PlayStats AsyncPlayer::play() {
     prepare_views();
     arbiter_.reset();
-    if (trace_ != nullptr) {
-        HCUBE_ENSURE_MSG(trace_->workers() >= plan_.workers,
-                         "trace recorder has fewer lanes than plan workers");
-    }
-
-    const std::uint32_t total = plan_.action_count();
-    // Mode selection: one-worker and tiny plans always run serial;
-    // otherwise follow the tuner (probe stealing, then serial, then lock
-    // the faster).
-    const bool forced_serial =
-        plan_.workers == 1 ||
-        std::uint64_t{total} <
-            std::uint64_t{kSerialActionsPerWorker} * plan_.workers;
-    const bool serial =
-        forced_serial ||
-        tune_ == Tune::probe_serial || tune_ == Tune::locked_serial;
-    // Only the serial move-mode walk with no tracer and no detector hands
-    // blocks over without rings; everything else runs the ring protocol.
-    const bool ring_walk = !serial || copy_through_ || trace_ != nullptr ||
-                           detect_.enabled();
+    // Only the move-mode walk with no tracer and no detector hands blocks
+    // over without rings; everything else runs the ring protocol.
+    const bool ring_walk =
+        copy_through_ || trace_ != nullptr || detect_.enabled();
     if (ring_walk) {
         rings().reset();
     }
 
-    std::vector<Worker> workers(serial ? 0 : plan_.workers);
-    if (!serial) {
-        completed_.store(0, std::memory_order_relaxed);
-        for (std::uint32_t a = 0; a < total; ++a) {
-            deps_[a].store(plan_.dep_count[a], std::memory_order_relaxed);
-        }
-        for (std::uint32_t a = 0; a < total; ++a) {
-            if (plan_.dep_count[a] == 0) {
-                workers[plan_.owner_of(plan_.action_node(a))]
-                    .queue.push_back(a);
-            }
-        }
-    }
-
     PlayStats stats;
     const auto start = std::chrono::steady_clock::now();
-    if (serial) {
-        run_serial(stats, ring_walk);
-    } else if (pool != nullptr) {
-        HCUBE_ENSURE_MSG(pool->size() >= plan_.workers,
-                         "worker pool narrower than the plan");
-        pool->run(plan_.workers, [this, &workers](std::uint32_t w) {
-            run_worker(w, workers.data());
-        });
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(plan_.workers);
-        for (std::uint32_t w = 0; w < plan_.workers; ++w) {
-            threads.emplace_back(
-                [this, w, &workers] { run_worker(w, workers.data()); });
-        }
-        for (std::thread& t : threads) {
-            t.join();
-        }
-    }
+    run_serial(stats, ring_walk);
     const auto stop = std::chrono::steady_clock::now();
 
     stats.cycles = plan_.cycles; // logical schedule depth, never barriered
-    stats.mode = serial ? ExecMode::serial : ExecMode::stealing;
+    stats.mode = ExecMode::serial;
     stats.seconds = std::chrono::duration<double>(stop - start).count();
-    for (const Worker& w : workers) {
-        stats.blocks_sent += w.stats.blocks_sent;
-        stats.blocks_delivered += w.stats.blocks_delivered;
-        stats.bytes_copied += w.stats.bytes_copied;
-        stats.checksum_failures += w.stats.checksum_failures;
-        stats.channel_faults += w.stats.channel_faults;
-        stats.timeouts += w.stats.timeouts;
-        stats.steals += w.stats.steals;
-    }
     stats.payload_bytes =
         stats.blocks_delivered * plan_.block_elems * sizeof(double);
 
@@ -356,44 +166,18 @@ PlayStats AsyncPlayer::play(WorkerPool* pool) {
 
     static obs::Counter& m_plays_serial =
         obs::registry().counter("rt.plays_serial");
-    static obs::Counter& m_plays_stealing =
-        obs::registry().counter("rt.plays_stealing");
     static obs::Counter& m_cycles = obs::registry().counter("rt.cycles");
-    static obs::Counter& m_steals = obs::registry().counter("rt.steals");
     static obs::Counter& m_copied =
         obs::registry().counter("rt.bytes_copied");
     static obs::Counter& m_checksum =
         obs::registry().counter("rt.checksum_bytes");
-    static obs::Counter& m_fallbacks =
-        obs::registry().counter("rt.exec_fallbacks");
     static obs::Histogram& m_play_ns =
         obs::registry().histogram("rt.play_ns");
-    (serial ? m_plays_serial : m_plays_stealing).inc();
+    m_plays_serial.inc();
     m_cycles.inc(stats.cycles);
-    m_steals.inc(stats.steals);
     m_copied.inc(stats.bytes_copied);
     m_checksum.inc(stats.payload_bytes);
     m_play_ns.record_seconds(stats.seconds);
-
-    // Advance the tuner on clean, tuner-driven runs only (forced-serial
-    // runs and faulted runs say nothing about the stealing/serial choice).
-    // A low steal count on the stealing probe only says stealing did not
-    // thrash, not that it beat the serial walk, so both are always timed.
-    if (!forced_serial && stats.clean() && !arbiter_.aborted()) {
-        if (tune_ == Tune::probe_parallel) {
-            probe_parallel_seconds_ = stats.seconds;
-            tune_ = Tune::probe_serial;
-        } else if (tune_ == Tune::probe_serial) {
-            tune_ = stats.seconds <= probe_parallel_seconds_
-                        ? Tune::locked_serial
-                        : Tune::locked_parallel;
-            if (tune_ == Tune::locked_serial) {
-                // The stealing probe lost: the engine just fell back to
-                // serial execution for this plan shape.
-                m_fallbacks.inc();
-            }
-        }
-    }
     return stats;
 }
 

@@ -1,41 +1,26 @@
-// Dataflow execution engine: runs a compiled Plan's dependency graph with
-// per-worker run queues and work-stealing — no global barriers anywhere on
-// the hot path.
+// The runtime's fast execution engine: one thread walks a compiled Plan in
+// its lowered order — (cycle, sends before receives, hop index) — with no
+// barriers, queues or atomics on the hot path.
 //
-// Where the barrier Player advances the whole machine in lockstep (two
-// barrier crossings per routing cycle), the AsyncPlayer synchronizes on the
-// schedule's *data dependencies* only: every action starts with an atomic
-// counter of unmet dependencies (emitted by compile_plan), a completed
-// action decrements its successors' counters, and an action whose counter
-// hits zero is enqueued on the run queue of the worker that owns its node.
-// A worker drains its own queue LIFO (depth-first along the dependency
-// chains it just enabled, which keeps the hot block in cache) and steals
-// FIFO from other workers when empty. Sequence-stamped multi-slot channel
-// rings let a producer run up to Plan::async_depth logical cycles ahead of
-// a slow consumer; capacity edges in the graph make ring overflow
-// impossible rather than merely unlikely.
+// That order is the barrier Player's: the oracle retires every send of
+// cycle c before any receive of cycle c, no send reads a block delivered
+// in its own cycle (store-and-forward), and the arrivals into one slot
+// land in lowered order under both engines (one worker owns the slot, and
+// its bucket keeps lowered order). So this walk is byte-identical to the
+// oracle — including combine-mode accumulation order, where every
+// same-cycle send reads the slot's pre-accumulation value
+// (docs/RUNTIME.md § The serial walk).
 //
-// Progress argument (docs/RUNTIME.md § The dataflow engine): the graph is a
-// DAG (every edge points forward in schedule order), workers only retire
-// once all actions completed, and a counter reaches zero exactly once — so
-// every action is enqueued exactly once and some queue is always non-empty
-// while work remains. Violations on worker threads are counted in the
-// stats, never thrown, mirroring the barrier Player.
+// The walk ignores the plan's worker count: any plan, one worker or many,
+// runs on the calling thread. A zero-copy hop is a pointer assignment, so
+// a single collective has no per-hop work worth splitting across threads;
+// concurrency lives at the request level (svc).
 //
-// Not every plan is worth stealing for. (cycle, sends-before-recvs,
-// lowered index) is a topological order of the dependency graph, so a
-// single thread walking the flat arrays in that order executes the plan
-// with zero queue/atomic bookkeeping — the *serial fast path*. One-worker
-// plans and plans too small to amortize parallelism take it
-// unconditionally; for the rest an adaptive probe (see Tune below) locks
-// in whichever of stealing/serial measured faster on this player's plan.
-// PlayStats::mode reports the choice per run.
-//
-// The player only holds what its plays use. The channel bank is built on
-// the first play that needs rings — stealing, copy-through (combine mode
-// or a fault hook), detection, or a trace; a serial move-mode play hands
-// each block over by view assignment and never builds it. Serial plays
-// allocate no per-worker queues.
+// Two forms of the walk. A move-mode play with no fault hook, tracer or
+// detector hands each block over by view assignment and never builds the
+// channel bank. Everything else — copy-through (combine mode or a fault
+// hook), detection, tracing — runs the full ring protocol of
+// rt/delivery.hpp, which the bank is built for on first need.
 #pragma once
 
 #include "ft/fault_model.hpp"
@@ -45,7 +30,6 @@
 #include "rt/player.hpp" // PlayStats
 #include "rt/tracing.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -53,17 +37,13 @@
 
 namespace hcube::rt {
 
-class WorkerPool;
-template <class Bank> struct RunContextT; // rt/delivery.hpp
-using RunContext = RunContextT<ChannelBank>;
-
 class AsyncPlayer {
 public:
-    /// Allocates node-local block memory and sizes (but does not yet
-    /// build) a channel bank of `channel_capacity` ring slots per link (0
-    /// picks the plan's async_depth; anything smaller than async_depth is
-    /// rejected, since the plan's capacity edges only guard that depth).
-    /// The plan must outlive the player.
+    /// Allocates the slot views (and, for combine plans, slot memory) and
+    /// sizes (but does not yet build) a channel bank of `channel_capacity`
+    /// ring slots per link (0 picks the plan's async_depth; anything
+    /// smaller than async_depth is rejected as a ring shallower than the
+    /// plan was compiled for). The plan must outlive the player.
     explicit AsyncPlayer(const Plan& plan,
                          std::uint32_t channel_capacity = 0);
 
@@ -80,19 +60,15 @@ public:
             channels_->set_fault_hook(hook);
         }
     }
-    /// Attaches a per-worker trace recorder sized for >= plan.workers
-    /// lanes (nullptr detaches). Only valid between runs.
+    /// Attaches a trace recorder (nullptr detaches); the walk records on
+    /// lane 0. Only valid between runs.
     void set_trace(TraceRecorder* trace) noexcept { trace_ = trace; }
 
-    /// Seeds initial blocks, runs the dependency graph to completion on
-    /// plan.workers threads, and returns the aggregated stats (cycles is
-    /// the logical schedule depth; no barrier ever synchronizes on it).
-    /// Reusable: every call starts from freshly seeded memory and
-    /// rewound channels. With a non-null `pool` (of at least plan.workers
-    /// threads) the run is dispatched onto the resident pool threads
-    /// instead of creating and joining a thread per worker.
-    [[nodiscard]] PlayStats play() { return play(nullptr); }
-    [[nodiscard]] PlayStats play(WorkerPool* pool);
+    /// Seeds initial blocks, walks the plan to completion on the calling
+    /// thread, and returns the stats (cycles is the logical schedule
+    /// depth). Reusable: every call starts from freshly seeded memory and
+    /// rewound channels.
+    [[nodiscard]] PlayStats play();
 
     /// The first fault the last play() detected (cls == none on a clean
     /// run, or while detection is disabled).
@@ -117,9 +93,9 @@ public:
     }
 
     /// Exact heap bytes this engine keeps resident between runs (channel
-    /// rings, slot views, copy-through storage, live dep
-    /// counters) — what a byte-budgeted cache charges for keeping the
-    /// player warm. The plan itself is accounted by Plan::resident_bytes().
+    /// rings, slot views, copy-through storage) — what a byte-budgeted
+    /// cache charges for keeping the player warm. The plan itself is
+    /// accounted by Plan::resident_bytes().
     [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
     /// The channel bank's share of resident_bytes(): 0 until a play has
     /// needed rings.
@@ -128,31 +104,12 @@ public:
     }
 
 private:
-    struct Worker;
-
-    /// Adaptive engine-mode tuner. Work-stealing pays off only when a plan
-    /// has enough parallel slack; on steal-thrashed shapes (MSBT broadcast:
-    /// long per-channel chains, tiny frontier) the serial fast path wins
-    /// outright. The first eligible run probes stealing, the next probes
-    /// serial, and the faster of the two is locked in for the player's
-    /// lifetime — no mode is locked without timing both.
-    enum class Tune {
-        probe_parallel,
-        probe_serial,
-        locked_parallel,
-        locked_serial,
-    };
-
     void prepare_views();
     /// The channel bank, built on first call (between runs only).
     ChannelBank& rings();
     /// The lowered-order walk; without `ring_walk` (move mode, no hook,
     /// tracer or detector) hops are plain view assignments.
     void run_serial(PlayStats& stats, bool ring_walk);
-    void run_worker(std::uint32_t worker, Worker* workers);
-    void execute(const RunContext& ctx, std::uint32_t action,
-                 std::uint32_t worker, PlayStats& stats);
-    void finish(std::uint32_t action, Worker* workers);
 
     const Plan& plan_;
     std::uint32_t channel_capacity_; ///< ring slots per link, power of two
@@ -164,12 +121,7 @@ private:
     /// Copy-through slot storage; eager for combine plans, lazy for move
     /// plans (first fault-hooked run), never touched on pure zero-copy.
     std::vector<double> memory_;
-    /// Live dep counters; empty on one-worker plans (no graph to count).
-    std::vector<std::atomic<std::uint32_t>> deps_;
-    std::atomic<std::uint64_t> completed_{0};
     bool copy_through_ = false; ///< decided per run in prepare_views()
-    Tune tune_ = Tune::probe_parallel;
-    double probe_parallel_seconds_ = 0; ///< the stealing probe's wall clock
     ft::DetectConfig detect_{};
     FaultArbiter arbiter_;
     TraceRecorder* trace_ = nullptr;

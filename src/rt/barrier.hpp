@@ -1,4 +1,4 @@
-// A reusable cycle barrier for the runtime's worker pool.
+// A reusable cycle barrier for the barrier Player's worker threads.
 //
 // The player separates every routing cycle into a send phase and a receive
 // phase with a barrier after each, which is what turns the port-model

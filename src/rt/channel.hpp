@@ -4,10 +4,8 @@
 // Under the barrier Player a channel's producer is the worker thread that
 // owns the sending node and its consumer the worker that owns the receiving
 // node — node ownership is a partition, so single-producer / single-consumer
-// holds by construction. The dataflow AsyncPlayer relaxes who runs an
-// action (work-stealing) but serializes same-channel pushes and pops with
-// dependency edges, so at most one producer and one consumer are active at
-// any instant and the same acquire/release protocol carries over.
+// holds by construction. The AsyncPlayer runs every action on one thread,
+// so it is trivially both.
 // Indices are monotonically increasing uint32 counters masked into a
 // power-of-two ring (the classic Lamport queue): the producer publishes a
 // slot with a release store of `tail`, the consumer acquires it by loading
@@ -28,9 +26,8 @@
 // two-copies-per-hop protocol, preserved bit for bit.
 //
 // Every slot is stamped with its push sequence number (the k-th push on a
-// channel is sequence k), which lets an asynchronous consumer assert it is
-// draining exactly the block its dependency graph promised even when the
-// producer has run several logical cycles ahead into a deep ring.
+// channel is sequence k), which lets the serial walk's consumer assert it
+// is draining exactly the push its plan action names.
 //
 // All channels live in one bank: contiguous descriptor storage, and
 // head/tail counters each padded to a cache line so two threads hammering
@@ -168,8 +165,8 @@ public:
     }
 
     /// Consumer side, sequence-checked variant: additionally reports the
-    /// block's push sequence number so a dataflow consumer can assert it is
-    /// draining the k-th push its dependency edge waited for.
+    /// block's push sequence number so a consumer can assert it is
+    /// draining the k-th push its plan action names.
     [[nodiscard]] std::span<const double>
     front(std::uint32_t channel, std::uint32_t& packet,
           std::uint32_t& seq) const noexcept {

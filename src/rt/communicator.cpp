@@ -3,8 +3,6 @@
 #include "common/check.hpp"
 #include "rt/async_player.hpp"
 #include "rt/player.hpp"
-#include "rt/pool.hpp"
-#include "rt/threads.hpp"
 #include "rt/verify.hpp"
 #include "sim/cycle.hpp"
 
@@ -25,7 +23,6 @@ void copy_play_stats(Result& result, const PlayStats& stats) {
     result.payload_bytes = stats.payload_bytes;
     result.bytes_copied = stats.bytes_copied;
     result.seconds = stats.seconds;
-    result.steals = stats.steals;
     result.exec_mode = stats.mode;
     result.transport = stats.transport;
     result.checksum_failures = stats.checksum_failures;
@@ -36,15 +33,10 @@ void copy_play_stats(Result& result, const PlayStats& stats) {
 } // namespace
 
 Communicator::Communicator(hc::dim_t n, Params params)
-    : n_(n), params_(params),
-      threads_(pick_worker_threads(n, params.threads)),
-      pool_(threads_ > 1 ? std::make_unique<WorkerPool>(threads_)
-                         : nullptr) {
+    : n_(n), params_(params) {
     HCUBE_ENSURE(n >= 1 && n <= hc::kMaxDimension);
     HCUBE_ENSURE(params_.block_elems >= 1);
 }
-
-Communicator::~Communicator() = default;
 
 bool Communicator::oracle_due(const Schedule& schedule) {
     switch (params_.verify) {
@@ -62,13 +54,11 @@ Result Communicator::run_move(const Schedule& schedule) {
     const sim::CycleStats sim_stats =
         sim::execute_schedule(schedule, params_.model);
 
-    const Plan plan = compile_plan(schedule, DataMode::move,
-                                   params_.block_elems, threads_);
+    const Plan plan =
+        compile_plan(schedule, DataMode::move, params_.block_elems, 1);
 
     Result result;
     result.engine = params_.engine;
-    result.threads = threads_;
-    result.pool_reused = pool_ != nullptr || threads_ == 1;
     result.sim_makespan = sim_stats.makespan;
 
     // The barrier player runs when it is the measured engine or when the
@@ -82,7 +72,7 @@ Result Communicator::run_move(const Schedule& schedule) {
     bool ok = true;
     if (with_oracle) {
         ref.emplace(plan, params_.channel_capacity);
-        ref_stats = ref->play(pool_.get());
+        ref_stats = ref->play();
         // The oracle itself must be clean: every in-flight checksum passed,
         // every channel behaved, exactly one delivery per scheduled send,
         // and its barriered cycle count matches the cycle model.
@@ -96,7 +86,7 @@ Result Communicator::run_move(const Schedule& schedule) {
         copy_play_stats(result, ref_stats);
     } else {
         AsyncPlayer dut(plan);
-        const PlayStats stats = dut.play(pool_.get());
+        const PlayStats stats = dut.play();
         ok = ok && stats.clean() &&
              stats.blocks_delivered == schedule.sends.size() &&
              holdings_match(plan, dut, sim_stats);
@@ -166,8 +156,8 @@ Result Communicator::reduce(const trees::SpanningTree& tree,
     const Schedule reduction =
         routing::reverse_broadcast_for_reduce(forward, tree.root);
 
-    const Plan plan = compile_plan(reduction, DataMode::combine,
-                                   params_.block_elems, threads_);
+    const Plan plan =
+        compile_plan(reduction, DataMode::combine, params_.block_elems, 1);
 
     // The root's block for every packet must equal the exact elementwise
     // integer sum of all N contributions.
@@ -193,8 +183,6 @@ Result Communicator::reduce(const trees::SpanningTree& tree,
 
     Result result;
     result.engine = params_.engine;
-    result.threads = threads_;
-    result.pool_reused = pool_ != nullptr || threads_ == 1;
     result.sim_makespan = sim_stats.makespan;
 
     const bool with_oracle =
@@ -206,7 +194,7 @@ Result Communicator::reduce(const trees::SpanningTree& tree,
     bool ok = true;
     if (with_oracle) {
         ref.emplace(plan, params_.channel_capacity);
-        ref_stats = ref->play(pool_.get());
+        ref_stats = ref->play();
         ok = ref_stats.clean() &&
              ref_stats.blocks_delivered == reduction.sends.size() &&
              ref_stats.cycles == sim_stats.makespan;
@@ -217,11 +205,11 @@ Result Communicator::reduce(const trees::SpanningTree& tree,
         copy_play_stats(result, ref_stats);
     } else {
         AsyncPlayer dut(plan);
-        const PlayStats stats = dut.play(pool_.get());
-        // The combining accumulation order is fixed by the plan's
-        // slot-ordering edges, so even the floating-point intermediate
-        // states must agree bit for bit with the barrier oracle; the exact
-        // integer sums check stays meaningful with the oracle skipped.
+        const PlayStats stats = dut.play();
+        // The serial walk accumulates in the barrier oracle's order, so
+        // even the floating-point intermediate states must agree bit for
+        // bit with it; the exact integer sums check stays meaningful with
+        // the oracle skipped.
         ok = ok && stats.clean() &&
              stats.blocks_delivered == reduction.sends.size() &&
              sums_match(dut);

@@ -2,12 +2,12 @@
 //
 // Where routing::CollectiveComm runs the paper's algorithms on the *event
 // simulator* (simulated seconds), this communicator runs the cycle-exact
-// schedules as *real data movement*: logical cube nodes mapped onto a
-// thread pool, directed links as sequence-stamped ring-buffer channels,
-// and a checksum check on every delivered block. Two engines execute a
-// compiled plan: the two-barrier-per-cycle Player (the cycle-exact
-// reference oracle) and the dependency-driven AsyncPlayer (the fast path,
-// no global barriers). With Engine::async the barrier engine still runs
+// schedules as *real data movement*: directed links as sequence-stamped
+// ring-buffer channels and a checksum check on every delivered block.
+// Every operation compiles a one-worker plan, as svc::Session does. Two
+// engines execute it: the two-barrier-per-cycle Player (the cycle-exact
+// reference oracle) and the AsyncPlayer's serial lowered-order walk (the
+// fast path, no barriers). With Engine::async the barrier engine still runs
 // once per operation as the oracle, and verification additionally demands
 // a byte-identical final memory state across the two. Every operation also
 // executes the same schedule through sim::execute_schedule, so the result
@@ -32,7 +32,6 @@
 #include "trees/spanning_tree.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <unordered_set>
 
@@ -41,7 +40,7 @@ namespace hcube::rt {
 /// Which execution engine runs the schedule.
 enum class Engine {
     barrier, ///< cycle-exact two-barrier-per-cycle Player (the oracle)
-    async,   ///< dependency-driven work-stealing AsyncPlayer (no barriers)
+    async,   ///< the AsyncPlayer's serial lowered-order walk (no barriers)
 };
 
 [[nodiscard]] constexpr std::string_view to_string(Engine e) noexcept {
@@ -68,9 +67,6 @@ enum class Verify {
 }
 
 struct Params {
-    /// Worker threads; 0 picks min(2^n, max(2, hardware_concurrency))
-    /// (rt/threads.hpp).
-    std::uint32_t threads = 0;
     /// Elements (doubles) per packet — the internal packet size B_int.
     std::size_t block_elems = 256;
     /// Ring slots per link channel (barrier engine; the async engine sizes
@@ -96,7 +92,6 @@ struct Result {
                                      ///< reported engine (0 = pure zero-copy)
     double seconds = 0;              ///< wall clock of the reported engine
     double ref_seconds = 0; ///< barrier-oracle wall clock (async engine)
-    std::uint64_t steals = 0; ///< work-stealing count (async engine)
     /// Fault counters of the reported engine's run (all zero on a healthy
     /// machine; nonzero under ft fault injection or real failures).
     std::uint64_t checksum_failures = 0;
@@ -107,38 +102,21 @@ struct Result {
     /// when Verify::first already covered the fingerprint or Verify::never
     /// suppressed it; meaningless under Engine::barrier, where it is true).
     bool oracle_checked = false;
-    /// The run executed on a persistent worker pool (or the single-worker
-    /// serial path) — no thread was created or joined for this operation.
-    bool pool_reused = false;
     Engine engine = Engine::barrier; ///< engine the stats above came from
-    /// How the reported engine's run actually executed: barrier phases,
-    /// the AsyncPlayer's serial fast path, or its work-stealing mode (the
-    /// adaptive tuner's per-run choice).
+    /// How the reported engine's run executed: barrier phases or the
+    /// AsyncPlayer's serial walk.
     ExecMode exec_mode = ExecMode::barrier;
     /// Medium the reported engine moved blocks over ("ring" for the
     /// in-process bank; "uds"/"tcp" when a net-backend result is folded
     /// into the same schema).
     ft::TransportClass transport = ft::TransportClass::ring;
-    std::uint32_t threads = 1;
-
-    [[nodiscard]] double gbytes_per_sec() const noexcept {
-        return seconds > 0
-                   ? static_cast<double>(payload_bytes) / seconds * 1e-9
-                   : 0.0;
-    }
 };
-
-class WorkerPool;
 
 class Communicator {
 public:
     explicit Communicator(hc::dim_t n, Params params = {});
-    ~Communicator();
-    Communicator(const Communicator&) = delete;
-    Communicator& operator=(const Communicator&) = delete;
 
     [[nodiscard]] hc::dim_t dimension() const noexcept { return n_; }
-    [[nodiscard]] std::uint32_t threads() const noexcept { return threads_; }
 
     /// Broadcast `packets` blocks from tree.root down `tree`.
     Result broadcast(const trees::SpanningTree& tree,
@@ -181,11 +159,6 @@ private:
 
     hc::dim_t n_;
     Params params_;
-    std::uint32_t threads_;
-    /// Resident threads every operation replays on (constructed once, in
-    /// the constructor); null when one worker suffices, whose serial path
-    /// never creates a thread either.
-    std::unique_ptr<WorkerPool> pool_;
     /// Schedule fingerprints whose oracle cross-check already passed
     /// (Verify::first bookkeeping).
     std::unordered_set<std::uint64_t> oracle_seen_;

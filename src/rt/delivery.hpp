@@ -1,11 +1,11 @@
 // The one arrival/verify/deliver implementation shared by both execution
 // engines.
 //
-// Before this helper existed the barrier Player and the dataflow
+// Before this helper existed the barrier Player and the
 // AsyncPlayer each carried a near-identical copy of the send-side push and
 // the receive-side drain/verify/deliver block; the zero-copy protocol now
 // lives here exactly once and the engines differ only in *when* they call
-// it (barrier phases vs dependency-graph readiness).
+// it (barrier phases vs the serial lowered-order walk).
 //
 // Delivery protocol (docs/PERFORMANCE.md § The per-block hot path):
 //
@@ -78,10 +78,8 @@ enum class DeliverOutcome {
 };
 
 // Both helpers are force-inlined: each engine's action loop is the whole
-// hot path, and a TU with two call sites (the async engine executes
-// actions from both the dataflow walk and the serial walk) otherwise gets
-// an out-of-line clone — a measurable per-block call penalty at small
-// block sizes.
+// hot path, and a call site that is not inlined costs a measurable
+// per-block call penalty at small block sizes.
 #if defined(__GNUC__)
 #define HCUBE_DELIVERY_INLINE inline __attribute__((always_inline))
 #else
@@ -132,9 +130,9 @@ HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
 
 /// Receive side: drain the channel head, verify it is the promised block,
 /// and deliver it (view adoption, or copy/accumulate under copy-through).
-/// `check_seq` is the dataflow engines' stricter assertion that the head
-/// is exactly the k-th push their dependency edge waited for; the barrier
-/// engine passes false (its phases make the weaker packet check exact).
+/// `check_seq` is the serial walk's stricter assertion that the head is
+/// exactly the k-th push its action names; the barrier engine passes false
+/// (its phases make the weaker packet check exact).
 template <Transport Bank>
 HCUBE_DELIVERY_INLINE DeliverOutcome
 deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,

@@ -10,7 +10,7 @@
 // The bounded arrival wait exploits an engine invariant: by the time a pop
 // runs, any block that *was* published on its channel is already visible
 // (the barrier Player separates phases with a full barrier; the AsyncPlayer
-// orders the pop after the push action through an acq_rel dependency edge).
+// runs every push of a cycle before its pops on one thread).
 // An empty channel at pop time therefore means the block is never coming —
 // the wait exists to give injected *delays* (which stall the producer
 // before publication) room to land, and to put a hard bound on how long a
@@ -82,7 +82,7 @@ public:
     }
 
     /// The first claimed fault (cls == none if the run was clean). Only
-    /// valid after the worker pool has been joined.
+    /// valid after the workers have been joined.
     [[nodiscard]] const ft::FaultReport& report() const noexcept {
         return report_;
     }

@@ -7,7 +7,6 @@
 #include <bit>
 #include <compare>
 #include <cstring>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string>
@@ -25,29 +24,6 @@ fail_send(const char* what, const sim::ScheduledSend& send) {
                       std::to_string(send.from) + " -> " +
                       std::to_string(send.to) + ", packet " +
                       std::to_string(send.packet) + ")");
-}
-
-/// Resolves the requested layout against the compact envelope. The 32-bit
-/// action fields are validated for n <= kCompactMaxDimension (slot and
-/// lowered-index counts stay well inside u32 there); an explicit compact
-/// request outside that envelope is a compile_plan-time error, automatic
-/// falls back to wide. HCUBE_PLAN_COMPACT=0 is the no-rebuild escape hatch
-/// (consulted per compile so a test can flip it).
-PlanLayout resolve_layout(PlanLayout requested, dim_t n) {
-    if (requested == PlanLayout::compact) {
-        HCUBE_ENSURE_MSG(n <= kCompactMaxDimension,
-                         "compact plan layout requires n <= 20");
-        return requested;
-    }
-    if (requested == PlanLayout::wide) {
-        return requested;
-    }
-    const char* env = std::getenv("HCUBE_PLAN_COMPACT");
-    if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-        return PlanLayout::wide;
-    }
-    return n <= kCompactMaxDimension ? PlanLayout::compact
-                                     : PlanLayout::wide;
 }
 
 template <typename T>
@@ -133,14 +109,9 @@ shared_contribution_arena(dim_t n, packet_t packets, std::size_t stride) {
 PlanFootprint Plan::footprint() const noexcept {
     PlanFootprint f;
     f.actions = vec_bytes(act_channel) + vec_bytes(act_slot) +
-                vec_bytes(act_packet) + vec_bytes(act_seq) +
-                vec_bytes(flat_sends) + vec_bytes(flat_recvs) +
-                vec_bytes(flat_cycle);
-    f.dep_graph =
-        vec_bytes(dep_count) + vec_bytes(succ_begin) + vec_bytes(succ);
+                vec_bytes(act_packet) + vec_bytes(act_seq);
     f.buckets = vec_bytes(send_begin) + vec_bytes(recv_begin) +
                 vec_bytes(send_order) + vec_bytes(recv_order) +
-                vec_bytes(sends) + vec_bytes(recvs) +
                 vec_bytes(flat_cycle_begin);
     f.slots = vec_bytes(slot_packet) + vec_bytes(slot_node) +
               vec_bytes(seeded_slots) + vec_bytes(slot_keys) +
@@ -155,9 +126,12 @@ PlanFootprint Plan::footprint() const noexcept {
 
 Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
                   std::size_t block_elems, std::uint32_t workers,
-                  std::uint32_t async_depth, PlanLayout layout,
+                  std::uint32_t async_depth, PlanLayout /*layout*/,
                   std::span<const node_t> members) {
-    HCUBE_ENSURE(schedule.n >= 1 && schedule.n <= hc::kMaxDimension);
+    // The 32-bit action fields are validated for n <= kCompactMaxDimension
+    // (slot and lowered-index counts stay well inside u32 there).
+    HCUBE_ENSURE_MSG(schedule.n >= 1 && schedule.n <= kCompactMaxDimension,
+                     "runtime plans require 1 <= n <= 20");
     HCUBE_ENSURE(block_elems >= 1);
     HCUBE_ENSURE(async_depth >= 1);
     const node_t count = node_t{1} << schedule.n;
@@ -170,10 +144,8 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     plan.packet_count = schedule.packet_count;
     plan.block_elems = block_elems;
     plan.mode = mode;
-    plan.layout = resolve_layout(layout, schedule.n);
     plan.workers = workers;
     plan.async_depth = std::bit_ceil(async_depth);
-    const bool wide = !plan.compact();
 
     // ---- member partition (incomplete cubes) --------------------------
     // A full member span compiles exactly like no span at all: node_owner
@@ -225,14 +197,6 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     /// held). Only consulted in move mode; combine slots are all available
     /// from the start (they hold the node's own contribution).
     std::vector<std::uint32_t> slot_acquire;
-    /// Lowered index of the receive that writes each slot, kNoProducer for
-    /// seeds (move mode — a slot has at most one writer there).
-    static constexpr std::uint32_t kNoProducer = ~std::uint32_t{0};
-    std::vector<std::uint32_t> slot_producer;
-    /// Combine mode: receives into / sends from each slot lowered so far,
-    /// in cycle order (slots are written repeatedly there).
-    std::vector<std::vector<std::uint32_t>> slot_recvs;
-    std::vector<std::vector<std::uint32_t>> slot_sends;
     /// Compile-time slot index; flattened into the plan's sorted
     /// slot_keys / slot_vals tables once the slot set is final.
     std::unordered_map<std::uint64_t, std::uint64_t> slot_index;
@@ -248,11 +212,6 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         plan.slot_packet.push_back(packet);
         plan.slot_node.push_back(node);
         slot_acquire.push_back(acquire);
-        slot_producer.push_back(kNoProducer);
-        if (mode == DataMode::combine) {
-            slot_recvs.emplace_back();
-            slot_sends.emplace_back();
-        }
         return id;
     };
 
@@ -284,9 +243,8 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     /// link per cycle, the link-capacity rule).
     std::vector<std::uint64_t> channel_last_cycle;
     static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
-    /// Per channel: lowered send indices in sequence order (send l and
-    /// recv l share the index, so this doubles as the pop order).
-    std::vector<std::vector<std::uint32_t>> chan_sends;
+    /// Per channel: pushes lowered so far — the next hop's sequence stamp.
+    std::vector<std::uint32_t> chan_seq;
 
     // Port bitmaps are built as links are numbered — they are primary
     // lowering data (cross-checked against the channel table below), not a
@@ -294,28 +252,20 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     plan.node_out_ports.assign(count, 0);
     plan.node_in_ports.assign(count, 0);
 
+    /// One lowered hop: its cycle, the two endpoints' slots, and the
+    /// channel and sequence stamp both halves share.
     struct Lowered {
         std::uint32_t cycle;
-        Action action;
+        std::uint32_t channel;
+        std::uint32_t seq;
+        packet_t packet;
+        node_t from;
+        node_t to;
+        std::uint32_t src_slot;
+        std::uint32_t dst_slot;
     };
-    std::vector<Lowered> low_sends;
-    std::vector<Lowered> low_recvs;
-    low_sends.reserve(sends.size());
-    low_recvs.reserve(sends.size());
-
-    // Dependency edges over lowered indices; recv endpoints are tagged
-    // with kRecvBit and decoded to interleaved action ids at CSR build.
-    // A one-worker plan only ever runs the serial lowered-order walk, which
-    // is itself a topological order of the graph, so it gets none.
-    static constexpr std::uint32_t kRecvBit = std::uint32_t{1} << 31;
-    const bool dataflow = workers > 1;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(dataflow ? sends.size() * 3 : 0);
-    const auto edge = [&](std::uint32_t from, std::uint32_t to) {
-        if (dataflow) {
-            edges.emplace_back(from, to);
-        }
-    };
+    std::vector<Lowered> lowered;
+    lowered.reserve(sends.size());
 
     for (const sim::ScheduledSend& send : sends) {
         if (send.from >= count || send.to >= count) [[unlikely]] {
@@ -360,7 +310,7 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
                 (send.from << Plan::kChannelDimBits) | dim);
             plan.node_out_ports[send.from] |= std::uint32_t{1} << dim;
             plan.node_in_ports[send.to] |= std::uint32_t{1} << dim;
-            chan_sends.emplace_back();
+            chan_seq.push_back(0);
         }
         if (channel_last_cycle[channel] == send.cycle) [[unlikely]] {
             fail_send("two packets on one directed link in one cycle", send);
@@ -385,79 +335,10 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
             fail_send("receiver already holds the packet", send);
         }
 
-        // ---- dependency edges for hop l (send 2l / recv 2l+1) ---------
-        const auto l = static_cast<std::uint32_t>(low_sends.size());
-        const auto seq =
-            static_cast<std::uint32_t>(chan_sends[channel].size());
-        if (seq > 0) {
-            // Ring order: pushes and pops on one channel stay serialized
-            // (the SPSC protocol's one-producer / one-consumer guarantee,
-            // recovered by edges once work-stealing removes ownership).
-            const std::uint32_t prev = chan_sends[channel].back();
-            edge(prev, l);
-            edge(prev | kRecvBit, l | kRecvBit);
-        }
-        if (seq >= plan.async_depth) {
-            // Capacity: the seq-th push needs the (seq-depth)-th pop to
-            // have freed its ring slot.
-            edge(chan_sends[channel][seq - plan.async_depth] | kRecvBit, l);
-        }
-        if (mode == DataMode::move) {
-            // Availability: forwarding waits on the receive that produced
-            // the source slot; seeds have no producer.
-            if (slot_producer[src_slot] != kNoProducer) {
-                edge(slot_producer[src_slot] | kRecvBit, l);
-            }
-        } else {
-            // A combining send transmits the partial sum of its own seed
-            // plus every strictly-earlier arrival (the barrier engine's
-            // send-phase-before-receive-phase rule for equal cycles).
-            // Receives into one slot are chained in lowered order (below),
-            // so a single edge from the latest strictly-earlier receive
-            // orders every older arrival transitively. Same-cycle receives
-            // already lowered must instead wait for this send — it reads
-            // the slot's pre-accumulation value — and one edge to the
-            // earliest of them orders the rest through the same chain.
-            const std::vector<std::uint32_t>& arrivals =
-                slot_recvs[src_slot];
-            std::size_t a = arrivals.size();
-            while (a > 0 && low_recvs[arrivals[a - 1]].cycle == send.cycle) {
-                --a;
-            }
-            if (a < arrivals.size()) {
-                edge(l, arrivals[a] | kRecvBit);
-            }
-            if (a > 0) {
-                edge(arrivals[a - 1] | kRecvBit, l);
-            }
-        }
-        // Data: the receive drains exactly its channel's seq-th push.
-        edge(l, l | kRecvBit);
-        if (mode == DataMode::combine) {
-            // Accumulation into one slot happens in channel-sequence
-            // (lowered) order, and only after every send that reads the
-            // slot's pre-accumulation value has gone out. Sends lowered
-            // before the previous receive are ordered through it, so only
-            // those since then need direct edges — drained here, which
-            // keeps total edge emission linear in the schedule size.
-            if (!slot_recvs[dst_slot].empty()) {
-                edge(slot_recvs[dst_slot].back() | kRecvBit, l | kRecvBit);
-            }
-            for (const std::uint32_t s2 : slot_sends[dst_slot]) {
-                edge(s2, l | kRecvBit);
-            }
-            slot_sends[dst_slot].clear();
-            slot_recvs[dst_slot].push_back(l);
-            slot_sends[src_slot].push_back(l);
-        } else {
-            slot_producer[dst_slot] = l;
-        }
-
-        low_sends.push_back(
-            {send.cycle, {channel, send.from, src_slot, send.packet, seq}});
-        low_recvs.push_back(
-            {send.cycle, {channel, send.to, dst_slot, send.packet, seq}});
-        chan_sends[channel].push_back(l);
+        lowered.push_back({send.cycle, channel, chan_seq[channel]++,
+                           send.packet, send.from, send.to,
+                           static_cast<std::uint32_t>(src_slot),
+                           static_cast<std::uint32_t>(dst_slot)});
     }
     plan.channel_count = static_cast<std::uint32_t>(plan.channel_ep.size());
     HCUBE_ENSURE(plan.total_slots <= ~std::uint32_t{0});
@@ -511,12 +392,12 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
             : shared_contribution_arena(schedule.n, schedule.packet_count,
                                         plan.arena_stride);
 
-    // ---- lowered actions: SoA streams + dependency CSR ----------------
-    const auto S = static_cast<std::uint32_t>(low_sends.size());
+    // ---- lowered actions: SoA streams ---------------------------------
+    const auto S = static_cast<std::uint32_t>(lowered.size());
 
     // Cycle CSR over lowered indices (lowered order is cycle-sorted).
     plan.flat_cycle_begin.assign(std::size_t{plan.cycles} + 1, 0);
-    for (const Lowered& l : low_sends) {
+    for (const Lowered& l : lowered) {
         ++plan.flat_cycle_begin[std::size_t{l.cycle} + 1];
     }
     for (std::size_t c = 1; c <= plan.cycles; ++c) {
@@ -524,71 +405,30 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
     }
 
     // SoA streams indexed by interleaved action id: hop l's send is id 2l,
-    // its receive 2l+1, so the dependency counters and successor lists
-    // below are laid out in execution order.
+    // its receive 2l+1.
     plan.act_channel.resize(std::size_t{2} * S);
     plan.act_slot.resize(std::size_t{2} * S);
     plan.act_packet.resize(std::size_t{2} * S);
     plan.act_seq.resize(std::size_t{2} * S);
     for (std::uint32_t l = 0; l < S; ++l) {
-        const Action& snd = low_sends[l].action;
-        const Action& rcv = low_recvs[l].action;
-        const std::size_t sid = std::size_t{2} * l;
-        plan.act_channel[sid] = snd.channel;
-        plan.act_slot[sid] = static_cast<std::uint32_t>(snd.slot);
-        plan.act_packet[sid] = snd.packet;
-        plan.act_seq[sid] = snd.seq;
-        plan.act_channel[sid + 1] = rcv.channel;
-        plan.act_slot[sid + 1] = static_cast<std::uint32_t>(rcv.slot);
-        plan.act_packet[sid + 1] = rcv.packet;
-        plan.act_seq[sid + 1] = rcv.seq;
-    }
-
-    if (wide) {
-        // Reference layout keeps the AoS mirrors and per-hop cycle stamps.
-        plan.flat_sends.reserve(S);
-        plan.flat_recvs.reserve(S);
-        plan.flat_cycle.reserve(S);
-        for (const Lowered& l : low_sends) {
-            plan.flat_sends.push_back(l.action);
-            plan.flat_cycle.push_back(l.cycle);
-        }
-        for (const Lowered& l : low_recvs) {
-            plan.flat_recvs.push_back(l.action);
-        }
-    }
-
-    if (dataflow) {
-        HCUBE_ENSURE(edges.size() < ~std::uint32_t{0});
-        const auto decode = [](std::uint32_t id) {
-            return (id & kRecvBit) != 0 ? ((id & ~kRecvBit) << 1) | 1u
-                                        : id << 1;
-        };
-        plan.dep_count.assign(std::size_t{2} * S, 0);
-        plan.succ_begin.assign(std::size_t{2} * S + 1, 0);
-        for (const auto& [from, to] : edges) {
-            ++plan.dep_count[decode(to)];
-            ++plan.succ_begin[decode(from) + 1];
-        }
-        for (std::size_t a = 1; a <= std::size_t{2} * S; ++a) {
-            plan.succ_begin[a] += plan.succ_begin[a - 1];
-        }
-        plan.succ.resize(edges.size());
-        std::vector<std::uint32_t> cursor(plan.succ_begin.begin(),
-                                          plan.succ_begin.end() - 1);
-        for (const auto& [from, to] : edges) {
-            plan.succ[cursor[decode(from)]++] = decode(to);
-        }
+        const Lowered& hop = lowered[l];
+        const std::size_t snd = std::size_t{2} * l;
+        plan.act_channel[snd] = plan.act_channel[snd + 1] = hop.channel;
+        plan.act_packet[snd] = plan.act_packet[snd + 1] = hop.packet;
+        plan.act_seq[snd] = plan.act_seq[snd + 1] = hop.seq;
+        plan.act_slot[snd] = hop.src_slot;
+        plan.act_slot[snd + 1] = hop.dst_slot;
     }
 
     // ---- CSR bucketing by (cycle, worker) -----------------------------
     const std::size_t buckets = std::size_t{plan.cycles} * workers;
-    const auto bucket_of = [&](const Lowered& l) {
-        return std::size_t{l.cycle} * workers + plan.owner_of(l.action.node);
-    };
-    const auto bucket_fill = [&](const std::vector<Lowered>& lowered,
+    const auto bucket_fill = [&](node_t Lowered::*endpoint,
                                  std::vector<std::uint32_t>& begin,
-                                 auto&& emit) {
+                                 std::vector<std::uint32_t>& order) {
+        const auto bucket_of = [&](const Lowered& l) {
+            return std::size_t{l.cycle} * workers +
+                   plan.owner_of(l.*endpoint);
+        };
         begin.assign(buckets + 1, 0);
         for (const Lowered& l : lowered) {
             ++begin[bucket_of(l) + 1];
@@ -596,35 +436,14 @@ Plan compile_plan(const sim::Schedule& schedule, DataMode mode,
         for (std::size_t b = 1; b <= buckets; ++b) {
             begin[b] += begin[b - 1];
         }
-        std::vector<std::uint32_t> cursor2(begin.begin(), begin.end() - 1);
+        std::vector<std::uint32_t> cursor(begin.begin(), begin.end() - 1);
+        order.resize(S);
         for (std::uint32_t idx = 0; idx < S; ++idx) {
-            emit(cursor2[bucket_of(lowered[idx])]++, idx,
-                 lowered[idx].action);
+            order[cursor[bucket_of(lowered[idx])]++] = idx;
         }
     };
-    if (wide) {
-        plan.sends.resize(S);
-        plan.recvs.resize(S);
-        bucket_fill(low_sends, plan.send_begin,
-                    [&](std::uint32_t pos, std::uint32_t, const Action& a) {
-                        plan.sends[pos] = a;
-                    });
-        bucket_fill(low_recvs, plan.recv_begin,
-                    [&](std::uint32_t pos, std::uint32_t, const Action& a) {
-                        plan.recvs[pos] = a;
-                    });
-    } else {
-        plan.send_order.resize(S);
-        plan.recv_order.resize(S);
-        bucket_fill(low_sends, plan.send_begin,
-                    [&](std::uint32_t pos, std::uint32_t idx, const Action&) {
-                        plan.send_order[pos] = idx;
-                    });
-        bucket_fill(low_recvs, plan.recv_begin,
-                    [&](std::uint32_t pos, std::uint32_t idx, const Action&) {
-                        plan.recv_order[pos] = idx;
-                    });
-    }
+    bucket_fill(&Lowered::from, plan.send_begin, plan.send_order);
+    bucket_fill(&Lowered::to, plan.recv_begin, plan.recv_order);
 
     // Trim push_back growth slack so footprint() reports what the plan
     // actually needs, not what the growth policy left behind.

@@ -4,7 +4,6 @@
 #include "obs/metrics.hpp"
 #include "rt/barrier.hpp"
 #include "rt/delivery.hpp"
-#include "rt/pool.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -90,7 +89,7 @@ void Player::run_worker(std::uint32_t worker, PlayStats& stats) {
         const std::size_t bucket = std::size_t{cycle} * workers + worker;
 
         // Aborted workers skip the payload work of every remaining cycle
-        // but still cross both barriers, so the pool drains in lockstep
+        // but still cross both barriers, so the workers drain in lockstep
         // without a peer blocking on a phase nobody else entered.
         if (!detecting || !arbiter_.aborted()) {
             for (std::size_t i = plan_.send_begin[bucket];
@@ -122,7 +121,7 @@ void Player::run_worker(std::uint32_t worker, PlayStats& stats) {
     }
 }
 
-PlayStats Player::play(WorkerPool* pool) {
+PlayStats Player::play() {
     prepare_views();
     channels_.reset(); // rewind sequence stamps from any aborted prior run
     arbiter_.reset();
@@ -138,12 +137,6 @@ PlayStats Player::play(WorkerPool* pool) {
     const auto start = std::chrono::steady_clock::now();
     if (plan_.workers == 1) {
         run_worker(0, per_worker[0].stats);
-    } else if (pool != nullptr) {
-        HCUBE_ENSURE_MSG(pool->size() >= plan_.workers,
-                         "worker pool narrower than the plan");
-        pool->run(plan_.workers, [this, &per_worker](std::uint32_t w) {
-            run_worker(w, per_worker[w].stats);
-        });
     } else {
         std::vector<std::thread> threads;
         threads.reserve(plan_.workers);

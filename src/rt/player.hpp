@@ -1,25 +1,26 @@
-// Executes a compiled Plan as real data movement on a worker-thread pool.
+// Executes a compiled Plan as real data movement on plan.workers threads —
+// the runtime's reference oracle.
 //
 // Each worker owns a contiguous range of cube nodes. Execution is
 // cycle-synchronous: during cycle c every worker first pushes its nodes'
-// scheduled blocks into the outgoing link channels (send phase), the pool
-// barriers, then drains its nodes' incoming channels (receive phase) —
-// verifying each delivered block's checksum in move mode or accumulating it
-// elementwise in combine mode — and barriers again. The two barriers per
-// cycle realize the paper's synchronized routing steps: a block pushed in
-// cycle c is consumed in cycle c and forwardable from cycle c+1, exactly
-// the store-and-forward rule the cycle simulator validates. Consequently
-// the number of cycles the player executes equals the CycleExecutor
-// makespan of the same schedule.
+// scheduled blocks into the outgoing link channels (send phase), all
+// workers cross a barrier, then each drains its nodes' incoming channels
+// (receive phase) — verifying each delivered block's checksum in move mode
+// or accumulating it elementwise in combine mode — and all cross a barrier
+// again. The two barriers per cycle realize the paper's synchronized
+// routing steps: a block pushed in cycle c is consumed in cycle c and
+// forwardable from cycle c+1, exactly the store-and-forward rule the cycle
+// simulator validates. Consequently the number of cycles the player
+// executes equals the CycleExecutor makespan of the same schedule.
 //
 // Violations on worker threads (channel under/overflow, packet mismatch,
-// checksum mismatch) cannot throw across the pool; they are counted in the
+// checksum mismatch) cannot throw across threads; they are counted in the
 // stats and surfaced by the caller. With detection enabled
 // (ft::DetectConfig, see rt/detect.hpp) the first violation is additionally
 // promoted into a structured ft::FaultReport — which directed link, which
 // logical cycle, which fault class — and the in-flight plan aborts and
 // drains: workers skip the remaining payload work but keep crossing every
-// barrier, so the pool retires without deadlock in a bounded number of
+// barrier, so the workers retire without deadlock in a bounded number of
 // barrier hops.
 #pragma once
 
@@ -36,23 +37,18 @@
 namespace hcube::rt {
 
 class CycleBarrier;
-class WorkerPool;
 
-/// How a play() actually executed: the barrier engine's lockstep phases,
-/// the dataflow engine's single-thread serial walk, or its work-stealing
-/// multi-worker mode (the AsyncPlayer picks between the latter two
-/// adaptively; see async_player.hpp).
+/// How a play() executed: the barrier engine's lockstep phases, or the
+/// AsyncPlayer's serial lowered-order walk (see async_player.hpp).
 enum class ExecMode {
     barrier,
     serial,
-    stealing,
 };
 
 [[nodiscard]] constexpr const char* to_string(ExecMode mode) noexcept {
     switch (mode) {
     case ExecMode::barrier: return "barrier";
     case ExecMode::serial: return "serial";
-    case ExecMode::stealing: return "stealing";
     }
     return "?";
 }
@@ -69,8 +65,6 @@ struct PlayStats {
                                        ///< wrong packet or sequence at head
     std::uint64_t timeouts = 0;        ///< bounded arrival waits that expired
                                        ///< (detection enabled only)
-    std::uint64_t steals = 0;          ///< actions run off another worker's
-                                       ///< queue (AsyncPlayer only)
     double seconds = 0;                ///< wall clock of the threaded region
     ExecMode mode = ExecMode::barrier; ///< how this run executed
     /// Medium the blocks moved over: the in-process ring bank, or the net
@@ -104,14 +98,10 @@ public:
     void set_trace(TraceRecorder* trace) noexcept { trace_ = trace; }
 
     /// Seeds initial blocks, runs the full schedule on plan.workers
-    /// threads, and returns the aggregated stats. Reusable: every call
-    /// starts from freshly seeded memory and rewound channels.
-    /// With a non-null `pool` (of at least plan.workers threads) the run is
-    /// dispatched onto the resident pool threads instead of creating and
-    /// joining a thread per worker — the re-entrant steady-state entry
-    /// point the service layer uses.
-    [[nodiscard]] PlayStats play() { return play(nullptr); }
-    [[nodiscard]] PlayStats play(WorkerPool* pool);
+    /// threads (a one-worker plan runs on the calling thread), and returns
+    /// the aggregated stats. Reusable: every call starts from freshly
+    /// seeded memory and rewound channels.
+    [[nodiscard]] PlayStats play();
 
     /// The first fault the last play() detected (cls == none on a clean
     /// run, or while detection is disabled).

@@ -8,9 +8,9 @@
 // drain on the receive side), and rewind between runs. Two backends
 // implement it:
 //
-//   rt::ChannelBank        — the in-process SPSC descriptor rings (nodes
-//                            are threads; the original backend, and the
-//                            differential oracle for every other one);
+//   rt::ChannelBank        — the in-process SPSC descriptor rings (the
+//                            original backend, and the differential
+//                            oracle for every other one);
 //   net::SocketChannelBank — the multi-process backend (hcube::net): local
 //                            links stay in-process rings, links whose
 //                            endpoints live in different processes cross a

@@ -17,45 +17,49 @@
 
 #include <cstring>
 #include <span>
+#include <vector>
 
 namespace hcube::rt {
 
-/// Every (node, packet) of the plan's cube that `sim_stats` says is held
-/// must hold a block with its packet's canonical digest, and nothing else
-/// may appear (move mode).
+/// Every (node, packet) that `sim_stats` says is held must hold a block
+/// with its packet's canonical digest, and nothing else may appear (move
+/// mode). Walks the plan's slots in order rather than the whole cube: a
+/// slot's block must be non-empty exactly when the simulator says its pair
+/// is held, and the count of non-empty slots must equal the pairs the
+/// simulator holds (initial holders plus one per send), so a held pair
+/// that has no slot at all still fails.
 template <class P>
 bool holdings_match(const Plan& plan, const P& player,
                     const sim::CycleStats& sim_stats) {
-    const node_t count = node_t{1} << plan.n;
     const std::size_t blk = plan.block_elems;
     const std::span<const std::uint64_t> digests = plan.arena_digests();
-    for (packet_t p = 0; p < plan.packet_count; ++p) {
-        const double* const canon = plan.arena_block(p);
-        bool canon_hashed = false;
-        for (node_t i = 0; i < count; ++i) {
-            const std::span<const double> block = player.block(i, p);
-            if (!sim_stats.holds(i, p)) {
-                if (!block.empty()) {
+    std::vector<bool> canon_hashed(plan.packet_count, false);
+    std::uint64_t held = 0;
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        const packet_t p = plan.slot_packet[s];
+        const std::span<const double> block = player.slot_block(s);
+        if (block.empty() != !sim_stats.holds(plan.slot_node[s], p)) {
+            return false;
+        }
+        if (block.empty()) {
+            continue;
+        }
+        ++held;
+        if (block.size() != blk) {
+            return false;
+        }
+        if (block.data() == plan.arena_block(p)) {
+            if (!canon_hashed[p]) {
+                if (block_checksum(block) != digests[p]) {
                     return false;
                 }
-                continue;
+                canon_hashed[p] = true;
             }
-            if (block.size() != blk) {
-                return false;
-            }
-            if (block.data() == canon) {
-                if (!canon_hashed) {
-                    if (block_checksum(block) != digests[p]) {
-                        return false;
-                    }
-                    canon_hashed = true;
-                }
-            } else if (block_checksum(block) != digests[p]) {
-                return false;
-            }
+        } else if (block_checksum(block) != digests[p]) {
+            return false;
         }
     }
-    return true;
+    return held == std::uint64_t{plan.packet_count} + sim_stats.total_sends;
 }
 
 /// Byte-identical final state of two players of one plan, slot by slot —

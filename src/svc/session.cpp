@@ -245,10 +245,10 @@ struct Session::PlanEntry {
 
     /// Exact bytes this entry keeps resident — the cost the byte-budgeted
     /// plan cache charges it. Itemized: the compiled plan (actions,
-    /// buckets, slots, channels, its share of the arena; one-worker plans
-    /// carry no dep graph), each resident player's run state (the async
-    /// player's rings only once a play has needed them), the combine-mode
-    /// oracle image, and the full-check state while it is held.
+    /// buckets, slots, channels, its share of the arena), each resident
+    /// player's run state (the async player's rings only once a play has
+    /// needed them), the combine-mode oracle image, and the full-check
+    /// state while it is held.
     [[nodiscard]] std::uint64_t resident_bytes() const {
         std::uint64_t bytes = plan->resident_bytes();
         if (async != nullptr) {
@@ -286,16 +286,19 @@ Session::~Session() = default;
 
 model::CommParams Session::calibrate() const {
     // Two serial single-link micro-probes (n = 1, one packet, small and
-    // large block): time = τ + B·t_c fitted through both points. Below
-    // timer resolution the fit degenerates; fall back to the iPSC
-    // constants so selection still behaves sanely.
-    const auto probe = [this](std::uint32_t block) {
-        const Signature sig{Op::broadcast, Family::sbt, 1, 0, 1, block,
+    // large block): time = τ + B·t_c fitted through both points. The probe
+    // is a combine-mode reduce, which copies and accumulates every element
+    // of the block, so its time grows with B; a move-mode probe would be
+    // zero-copy and time the same at every B. Below timer resolution the
+    // fit degenerates; fall back to the iPSC constants so selection still
+    // behaves sanely.
+    const auto probe = [](std::uint32_t block) {
+        const Signature sig{Op::reduce, Family::sbt, 1, 0, 1, block,
                             sim::PortModel::one_port_full_duplex};
         const GeneratedSchedule gen = make_schedule(sig);
         const rt::Plan plan =
-            rt::compile_plan(gen.exec, gen.mode, block, 1);
-        rt::Player player(plan, params_.channel_capacity);
+            rt::compile_plan(gen.exec, gen.mode, block, 1, 1);
+        rt::AsyncPlayer player(plan);
         double best = std::numeric_limits<double>::infinity();
         for (int rep = 0; rep < 5; ++rep) {
             const rt::PlayStats stats = player.play();
@@ -354,7 +357,7 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
         e->plan = std::make_unique<rt::Plan>(
             rt::compile_plan(e->gen.exec, e->gen.mode, sig.block_elems,
                              /*workers=*/1, /*async_depth=*/1,
-                             params_.plan_layout, e->members));
+                             rt::PlanLayout::automatic, e->members));
         if (params_.engine == rt::Engine::async) {
             e->async = std::make_unique<rt::AsyncPlayer>(*e->plan);
         }

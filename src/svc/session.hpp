@@ -25,7 +25,7 @@
 #include "mbr/view.hpp"
 #include "model/broadcast_model.hpp"
 #include "rt/communicator.hpp" // Engine, Verify
-#include "rt/plan.hpp"         // PlanLayout
+#include "rt/plan.hpp"
 #include "svc/rejection.hpp"
 #include "svc/selector.hpp"
 #include "svc/signature.hpp"
@@ -50,10 +50,6 @@ struct SessionParams {
     /// few large ones under one bound. 0 (the default) preserves the
     /// entry-count behavior of plan_cache_capacity.
     std::uint64_t plan_cache_bytes = 0;
-    /// Plan encoding (rt::PlanLayout). The automatic default compiles the
-    /// compact residency layout inside its validated envelope; wide is the
-    /// pre-compaction reference encoding.
-    rt::PlanLayout plan_layout = rt::PlanLayout::automatic;
     /// Engine whose stats ExecStats reports.
     rt::Engine engine = rt::Engine::async;
     /// Oracle policy. `first` (the service default) fully oracle-checks
@@ -66,9 +62,9 @@ struct SessionParams {
     /// Port model schedules are generated for and validated under.
     sim::PortModel model = sim::PortModel::one_port_full_duplex;
     /// Machine constants for the AlgorithmSelector. Unset → calibrated at
-    /// construction from two serial micro-probes (model::fit_params), with
-    /// model::ipsc_params() as the fallback when the probes are below
-    /// timer resolution.
+    /// construction from two serial reduce micro-probes
+    /// (model::fit_params), with model::ipsc_params() as the fallback when
+    /// the fit degenerates.
     std::optional<model::CommParams> comm;
 };
 
@@ -85,7 +81,7 @@ struct ExecStats {
     /// delivery path; nonzero under copy-through — combine plans or
     /// fault-hooked runs).
     std::uint64_t bytes_copied = 0;
-    /// How the reported engine executed (barrier / serial / stealing).
+    /// How the reported engine executed (barrier / serial).
     rt::ExecMode exec_mode = rt::ExecMode::barrier;
     /// Medium the blocks moved over (always ring for an in-process
     /// session; netd reports its serving endpoint's transport instead).

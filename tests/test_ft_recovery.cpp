@@ -51,7 +51,6 @@ std::size_t fault_budget(dim_t n) {
 
 ResilientParams params_for(rt::Engine engine) {
     ResilientParams p;
-    p.threads = 2;
     p.block_elems = 16;
     p.engine = engine;
     // Tight by design: a published block is always visible by pop time, so

@@ -22,7 +22,6 @@ using sim::Schedule;
 
 ResilientParams params_for(rt::Engine engine) {
     ResilientParams p;
-    p.threads = 2;
     p.block_elems = 16;
     p.engine = engine;
     p.detect.arrival_timeout_us = 500;

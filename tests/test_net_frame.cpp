@@ -288,6 +288,33 @@ TEST(NetProtocol, ReportRoundTrip) {
     EXPECT_EQ(got.fault.to, 3u);
 }
 
+TEST(NetFrame, ReportRejectsTheRetiredStealingModeByte) {
+    // ExecMode is barrier (0) or serial (1); byte 2 was the work-stealing
+    // mode, which no engine produces any more. The mode byte is the one
+    // that differs between a barrier and a serial report.
+    ReportMsg msg;
+    msg.play.mode = rt::ExecMode::barrier;
+    std::vector<std::uint8_t> barrier_frame;
+    encode_report(barrier_frame, msg);
+    msg.play.mode = rt::ExecMode::serial;
+    std::vector<std::uint8_t> frame;
+    encode_report(frame, msg);
+    ASSERT_EQ(frame.size(), barrier_frame.size());
+    std::size_t mode_at = frame.size();
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+        if (frame[i] != barrier_frame[i]) {
+            ASSERT_EQ(mode_at, frame.size()) << "more than one byte differs";
+            mode_at = i;
+        }
+    }
+    ASSERT_LT(mode_at, frame.size());
+    ReportMsg got;
+    ASSERT_TRUE(decode_report(frame, got));
+    EXPECT_EQ(got.play.mode, rt::ExecMode::serial);
+    frame[mode_at] = 2;
+    EXPECT_FALSE(decode_report(frame, got));
+}
+
 TEST(NetProtocol, OpMessagesRoundTrip) {
     OpRequestMsg req;
     req.req_id = 41;

@@ -28,6 +28,7 @@
 #include <cstring>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -498,6 +499,53 @@ TEST(RtArena, HoldingsCheckHashesEveryCopiedBlock) {
     EXPECT_FALSE(holdings_match(plan, copied, sim_stats));
 }
 
+/// A player whose slot `cleared` reads as holding nothing — a lost block,
+/// as holdings_match sees it.
+template <class P>
+struct ClearedSlot {
+    const P& inner;
+    std::uint64_t cleared;
+    [[nodiscard]] std::span<const double>
+    slot_block(std::uint64_t slot) const noexcept {
+        return slot == cleared ? std::span<const double>{}
+                               : inner.slot_block(slot);
+    }
+};
+
+TEST(RtArena, HoldingsCheckFailsOnAClearedHeldSlot) {
+    // Every slot of a move plan is held at the end of the run, so clearing
+    // any one of them — a seed, a relay or a leaf — must fail the check.
+    const Schedule schedule = broadcast_schedule(4, 2);
+    const sim::CycleStats sim_stats =
+        sim::execute_schedule(schedule, PortModel::one_port_full_duplex);
+    const Plan plan = compile_plan(schedule, DataMode::move, kBlock, 1);
+    AsyncPlayer player(plan);
+    ASSERT_TRUE(player.play().clean());
+    ASSERT_TRUE(holdings_match(plan, player, sim_stats));
+    for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+        EXPECT_FALSE(holdings_match(plan, ClearedSlot<AsyncPlayer>{player, s},
+                                    sim_stats))
+            << "slot " << s;
+    }
+}
+
+TEST(RtArena, HoldingsCheckFailsOnAHeldPairWithNoSlot) {
+    // The simulator holds one more pair than the plan has slots for (the
+    // plan drops one of the schedule's sends): every slot the plan has is
+    // correct, and only the held-pair count can catch the missing one.
+    const Schedule schedule = broadcast_schedule(4, 2);
+    const sim::CycleStats sim_stats =
+        sim::execute_schedule(schedule, PortModel::one_port_full_duplex);
+    // A send of the last cycle: its receiver never forwards the packet.
+    Schedule truncated = schedule;
+    truncated.sends.erase(std::ranges::max_element(
+        truncated.sends, {}, &sim::ScheduledSend::cycle));
+    const Plan plan = compile_plan(truncated, DataMode::move, kBlock, 1);
+    AsyncPlayer player(plan);
+    ASSERT_TRUE(player.play().clean());
+    EXPECT_FALSE(holdings_match(plan, player, sim_stats));
+}
+
 TEST(RtArena, IdenticalMemoryComparesNonAliasedSlots) {
     const Plan plan =
         compile_plan(broadcast_schedule(4, 2), DataMode::move, kBlock, 1);
@@ -623,7 +671,6 @@ TEST(SvcArena, CorruptMoveArenaFailsTheFirstPass) {
 TEST(RtArena, CorruptMoveArenaFailsTheCommunicator) {
     Params params;
     params.block_elems = kBlock;
-    params.threads = 1;
     Communicator comm(4, params);
     const auto sbt = trees::build_sbt(4, 0);
     const std::function<Result()> runs[] = {
@@ -666,7 +713,6 @@ TEST(SvcArena, SteadyStateCatchesAPerturbedSlotTable) {
     auto* plan = const_cast<Plan*>(session.cached_plan(sig));
     ASSERT_NE(plan, nullptr);
     ASSERT_EQ(plan->mode, DataMode::move);
-    ASSERT_TRUE(plan->compact());
 
     // One slot's packet entry changes: the slot table no longer matches
     // the fingerprint stored on the first pass, nor the view the slot

@@ -1,26 +1,29 @@
-// Differential tests of the dependency-driven AsyncPlayer against the
-// two-barrier-per-cycle Player: for every schedule family the repo can
-// export, at every cube size n = 3..8, both engines must finish clean
-// (zero channel faults, zero checksum failures, one delivery per
-// scheduled send) and leave byte-identical final memory — including
-// combine-mode reduction, where the plan's slot-ordering edges pin the
-// floating-point accumulation order to the barrier oracle's.
+// Differential tests of the AsyncPlayer's serial walk against the barrier
+// Player oracle: for every schedule family the repo can export, at every
+// cube size n = 3..8, three runs must finish clean (zero channel faults,
+// zero checksum failures, one delivery per scheduled send) and leave
+// byte-identical final memory — the barrier oracle threaded at 1-4
+// workers, the serial walk's ring-free view-assignment form, and the
+// serial walk's full ring protocol (forced by arming detection) — including
+// combine-mode reduction, where the walk's lowered order must reproduce
+// the oracle's floating-point accumulation order.
 //
-// These suites are named Rt* so the tsan CI job (ctest -R '^Rt') runs
-// them under ThreadSanitizer, which is where the work-stealing engine's
-// synchronization actually gets exercised.
+// These suites are named Rt* so the tsan CI job runs them under
+// ThreadSanitizer, which is where the threaded barrier oracle's
+// synchronization gets exercised.
 #include "rt/async_player.hpp"
 
 #include "common/check.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
-#include "rt/threads.hpp"
+#include "rt/verify.hpp"
 #include "routing/schedule_export.hpp"
 #include "trees/bst.hpp"
 #include "trees/sbt.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -47,66 +50,57 @@ void expect_slot_blocks_match_lookups(const Plan& plan, const P& player) {
     }
 }
 
-/// Runs `schedule` through both engines and asserts clean stats plus a
-/// byte-identical final memory image, slot by slot. Besides the
-/// `threads`-worker async run, every call also checks the service's
-/// configuration — one worker, ring depth 1 — over both serial walks: the
-/// ring-free view-assignment walk, and the ring protocol (forced by arming
-/// detection), which proves depth-1 rings exact.
+/// Runs `schedule` through the three executions and asserts clean stats
+/// plus a byte-identical final memory image, slot by slot: the serial walk
+/// on the service's configuration (one worker, ring depth 1) in both of its
+/// forms — the ring-free view-assignment walk, and the ring protocol
+/// (forced by arming detection), which proves depth-1 rings exact — against
+/// the barrier oracle at every worker count from 1 to 4.
 void expect_engines_agree(const Schedule& schedule, DataMode mode,
-                          std::uint32_t threads,
                           const std::string& label) {
-    SCOPED_TRACE(label + " threads=" + std::to_string(threads));
-    const Plan plan = compile_plan(schedule, mode, kBlock, threads);
-
-    Player barrier_player(plan);
-    const PlayStats ref = barrier_player.play();
-    EXPECT_TRUE(ref.clean());
-    EXPECT_EQ(ref.channel_faults, 0u);
-    EXPECT_EQ(ref.blocks_delivered, schedule.sends.size());
-    expect_slot_blocks_match_lookups(plan, barrier_player);
-
-    const auto expect_oracle_memory = [&](const AsyncPlayer& dut) {
-        for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
-            const node_t node = plan.slot_node[s];
-            const packet_t packet = plan.slot_packet[s];
-            const auto a = barrier_player.block(node, packet);
-            const auto b = dut.block(node, packet);
-            ASSERT_EQ(a.size(), b.size());
-            ASSERT_EQ(std::memcmp(a.data(), b.data(),
-                                  a.size() * sizeof(double)),
-                      0)
-                << "final memory diverges at slot " << s << " (node "
-                << node << ", packet " << packet << ")";
-        }
-    };
-
-    AsyncPlayer async_player(plan);
-    const PlayStats dut = async_player.play();
-    EXPECT_TRUE(dut.clean());
-    EXPECT_EQ(dut.channel_faults, 0u);
-    EXPECT_EQ(dut.blocks_delivered, schedule.sends.size());
-    expect_oracle_memory(async_player);
-    expect_slot_blocks_match_lookups(plan, async_player);
-
+    SCOPED_TRACE(label);
     const Plan one = compile_plan(schedule, mode, kBlock, 1, 1);
-    for (const bool ring_walk : {false, true}) {
-        SCOPED_TRACE(ring_walk ? "one worker, depth-1 rings"
-                               : "one worker, ring-free walk");
-        AsyncPlayer serial_player(one);
-        if (ring_walk) {
-            ft::DetectConfig detect;
-            detect.arrival_timeout_us = 2'000;
-            serial_player.set_detection(detect);
-        }
-        const PlayStats st = serial_player.play();
+    AsyncPlayer bypass(one);
+    AsyncPlayer ring(one);
+    ft::DetectConfig detect;
+    detect.arrival_timeout_us = 2'000;
+    ring.set_detection(detect);
+    for (AsyncPlayer* serial : {&bypass, &ring}) {
+        const bool ring_walk = serial == &ring;
+        SCOPED_TRACE(ring_walk ? "depth-1 rings" : "ring-free walk");
+        const PlayStats st = serial->play();
         EXPECT_EQ(st.mode, ExecMode::serial);
         EXPECT_TRUE(st.clean());
         EXPECT_EQ(st.blocks_delivered, schedule.sends.size());
-        EXPECT_EQ(serial_player.ring_bytes() > 0,
+        EXPECT_EQ(serial->ring_bytes() > 0,
                   ring_walk || mode == DataMode::combine);
-        expect_oracle_memory(serial_player);
-        expect_slot_blocks_match_lookups(one, serial_player);
+        expect_slot_blocks_match_lookups(one, *serial);
+    }
+
+    const auto max_workers = static_cast<std::uint32_t>(
+        std::min<node_t>(4, node_t{1} << schedule.n));
+    for (std::uint32_t workers = 1; workers <= max_workers; ++workers) {
+        SCOPED_TRACE("oracle workers=" + std::to_string(workers));
+        const Plan plan = compile_plan(schedule, mode, kBlock, workers);
+        Player oracle(plan);
+        const PlayStats ref = oracle.play();
+        EXPECT_TRUE(ref.clean());
+        EXPECT_EQ(ref.blocks_delivered, schedule.sends.size());
+        expect_slot_blocks_match_lookups(plan, oracle);
+        for (const AsyncPlayer* serial : {&bypass, &ring}) {
+            for (std::uint64_t s = 0; s < plan.total_slots; ++s) {
+                const node_t node = plan.slot_node[s];
+                const packet_t packet = plan.slot_packet[s];
+                const auto a = oracle.block(node, packet);
+                const auto b = serial->block(node, packet);
+                ASSERT_EQ(a.size(), b.size());
+                ASSERT_EQ(std::memcmp(a.data(), b.data(),
+                                      a.size() * sizeof(double)),
+                          0)
+                    << "final memory diverges at slot " << s << " (node "
+                    << node << ", packet " << packet << ")";
+            }
+        }
     }
 }
 
@@ -117,7 +111,17 @@ TEST(RtAsyncVsBarrier, SbtPortOrientedBroadcast) {
                 trees::build_sbt(n, 0),
                 BroadcastDiscipline::port_oriented, 4,
                 PortModel::one_port_full_duplex),
-            DataMode::move, 2, "sbt_bcast n=" + std::to_string(n));
+            DataMode::move, "sbt_bcast n=" + std::to_string(n));
+    }
+}
+
+TEST(RtAsyncVsBarrier, SbtPacedBroadcast) {
+    for (hc::dim_t n = 3; n <= 8; ++n) {
+        expect_engines_agree(
+            routing::make_tree_broadcast(
+                trees::build_sbt(n, 0), BroadcastDiscipline::paced, 4,
+                PortModel::one_port_full_duplex),
+            DataMode::move, "sbt_paced_bcast n=" + std::to_string(n));
     }
 }
 
@@ -128,7 +132,7 @@ TEST(RtAsyncVsBarrier, MsbtBroadcast) {
             routing::make_msbt_broadcast(n, 0,
                                          static_cast<packet_t>(n) * 2,
                                          PortModel::one_port_full_duplex),
-            DataMode::move, 2, "msbt_bcast n=" + std::to_string(n));
+            DataMode::move, "msbt_bcast n=" + std::to_string(n));
     }
 }
 
@@ -138,7 +142,7 @@ TEST(RtAsyncVsBarrier, SbtDescendingScatter) {
             routing::make_tree_scatter(trees::build_sbt(n, 0),
                                        ScatterPolicy::descending, 2,
                                        PortModel::one_port_full_duplex),
-            DataMode::move, 2, "sbt_scatter n=" + std::to_string(n));
+            DataMode::move, "sbt_scatter n=" + std::to_string(n));
     }
 }
 
@@ -148,7 +152,7 @@ TEST(RtAsyncVsBarrier, BstCyclicScatter) {
             routing::make_tree_scatter(trees::build_bst(n, 0),
                                        ScatterPolicy::cyclic, 2,
                                        PortModel::one_port_full_duplex),
-            DataMode::move, 2, "bst_scatter n=" + std::to_string(n));
+            DataMode::move, "bst_scatter n=" + std::to_string(n));
     }
 }
 
@@ -158,7 +162,7 @@ TEST(RtAsyncVsBarrier, AllPortScatter) {
             routing::make_tree_scatter(trees::build_sbt(n, 0),
                                        ScatterPolicy::per_port, 2,
                                        PortModel::all_port),
-            DataMode::move, 2, "per_port_scatter n=" + std::to_string(n));
+            DataMode::move, "per_port_scatter n=" + std::to_string(n));
     }
 }
 
@@ -168,12 +172,12 @@ TEST(RtAsyncVsBarrier, SbtAndBstGather) {
             routing::make_tree_gather(trees::build_sbt(n, 0),
                                       ScatterPolicy::descending, 2,
                                       PortModel::one_port_full_duplex),
-            DataMode::move, 2, "sbt_gather n=" + std::to_string(n));
+            DataMode::move, "sbt_gather n=" + std::to_string(n));
         expect_engines_agree(
             routing::make_tree_gather(trees::build_bst(n, 0),
                                       ScatterPolicy::cyclic, 2,
                                       PortModel::one_port_full_duplex),
-            DataMode::move, 2, "bst_gather n=" + std::to_string(n));
+            DataMode::move, "bst_gather n=" + std::to_string(n));
     }
 }
 
@@ -184,7 +188,7 @@ TEST(RtAsyncVsBarrier, ReduceCombinesInChannelSequenceOrder) {
             PortModel::one_port_full_duplex);
         expect_engines_agree(
             routing::reverse_broadcast_for_reduce(forward, 0),
-            DataMode::combine, 2, "reduce n=" + std::to_string(n));
+            DataMode::combine, "reduce n=" + std::to_string(n));
     }
 }
 
@@ -192,8 +196,9 @@ TEST(RtAsyncVsBarrier, ReduceCombinesInChannelSequenceOrder) {
 /// running partial for packet 0 with its neighbor across dimension d.
 /// Listing nodes in ascending order makes the higher node of each pair
 /// lower its receive before its same-cycle send, so the engines only
-/// agree if the plan's send-side ordering edge pins the send to the
-/// slot's pre-accumulation value (the barrier oracle's sends-first rule).
+/// agree if the serial walk retires every send of a cycle before its
+/// receives: the send must read the slot's pre-accumulation value (the
+/// barrier oracle's sends-first rule).
 Schedule recursive_doubling_allreduce(hc::dim_t n) {
     Schedule s;
     s.n = n;
@@ -212,9 +217,8 @@ Schedule recursive_doubling_allreduce(hc::dim_t n) {
 
 TEST(RtAsyncVsBarrier, AllreduceSameCycleBidirectionalExchange) {
     for (hc::dim_t n = 1; n <= 8; ++n) {
-        const std::uint32_t threads = n >= 2 ? 4u : 2u;
         expect_engines_agree(recursive_doubling_allreduce(n),
-                             DataMode::combine, threads,
+                             DataMode::combine,
                              "allreduce n=" + std::to_string(n));
     }
 }
@@ -222,24 +226,30 @@ TEST(RtAsyncVsBarrier, AllreduceSameCycleBidirectionalExchange) {
 TEST(RtAsyncVsBarrier, AllgatherAndAlltoall) {
     for (hc::dim_t n = 3; n <= 8; ++n) {
         expect_engines_agree(routing::make_allgather_schedule(n),
-                             DataMode::move, 2,
+                             DataMode::move,
                              "allgather n=" + std::to_string(n));
         expect_engines_agree(routing::make_alltoall_schedule(n, 1),
-                             DataMode::move, 2,
+                             DataMode::move,
                              "alltoall n=" + std::to_string(n));
     }
 }
 
 TEST(RtAsyncVsBarrier, OddWorkerCountsAndSerialPath) {
-    // One worker takes the serial fast path; three exercises uneven node
-    // ownership (2^5 nodes over 3 workers) and therefore stealing.
+    // The AsyncPlayer ignores the plan's worker count: on a three-worker
+    // plan (uneven node ownership, 2^5 nodes over 3 workers) it runs the
+    // same serial walk and matches that plan's threaded barrier oracle.
     const Schedule schedule = routing::make_tree_scatter(
         trees::build_sbt(5, 0), ScatterPolicy::descending, 2,
         PortModel::one_port_full_duplex);
-    for (const std::uint32_t threads : {1u, 3u}) {
-        expect_engines_agree(schedule, DataMode::move, threads,
-                             "odd_workers");
-    }
+    expect_engines_agree(schedule, DataMode::move, "odd_workers");
+    const Plan plan = compile_plan(schedule, DataMode::move, kBlock, 3);
+    Player oracle(plan);
+    AsyncPlayer dut(plan);
+    ASSERT_TRUE(oracle.play().clean());
+    const PlayStats st = dut.play();
+    EXPECT_EQ(st.mode, ExecMode::serial);
+    EXPECT_TRUE(st.clean());
+    EXPECT_TRUE(identical_memory(plan, oracle, dut));
 }
 
 TEST(RtAsyncVsBarrier, AsyncPlayerIsReusableAcrossRuns) {
@@ -255,45 +265,6 @@ TEST(RtAsyncVsBarrier, AsyncPlayerIsReusableAcrossRuns) {
     EXPECT_EQ(second.blocks_delivered, schedule.sends.size());
 }
 
-TEST(RtAsyncTuner, SecondPlayAlwaysProbesSerial) {
-    // The tuner never locks a mode without timing both: whatever the
-    // stealing probe measured — a low steal count included — the next play
-    // on a tuner-eligible plan (two or more workers, enough actions) is
-    // the serial probe.
-    const Schedule forward = routing::make_tree_broadcast(
-        trees::build_sbt(6, 0), BroadcastDiscipline::port_oriented, 3,
-        PortModel::one_port_full_duplex);
-    const struct {
-        Schedule schedule;
-        DataMode mode;
-    } cases[] = {
-        {routing::make_msbt_broadcast(6, 0, 12,
-                                      PortModel::one_port_full_duplex),
-         DataMode::move},
-        {routing::make_tree_scatter(trees::build_sbt(6, 0),
-                                    ScatterPolicy::descending, 2,
-                                    PortModel::one_port_full_duplex),
-         DataMode::move},
-        {routing::make_allgather_schedule(5), DataMode::move},
-        {routing::reverse_broadcast_for_reduce(forward, 0),
-         DataMode::combine},
-    };
-    for (const auto& c : cases) {
-        for (const std::uint32_t threads : {2u, 4u}) {
-            const Plan plan =
-                compile_plan(c.schedule, c.mode, kBlock, threads);
-            ASSERT_GE(plan.action_count(), 32u * threads); // tuner-eligible
-            AsyncPlayer player(plan);
-            const PlayStats first = player.play();
-            ASSERT_TRUE(first.clean());
-            EXPECT_EQ(first.mode, ExecMode::stealing);
-            const PlayStats second = player.play();
-            EXPECT_TRUE(second.clean());
-            EXPECT_EQ(second.mode, ExecMode::serial);
-        }
-    }
-}
-
 TEST(RtAsyncVsBarrier, RejectsRingShallowerThanPlanDepth) {
     const Schedule schedule = routing::make_msbt_broadcast(
         3, 0, 6, PortModel::one_port_full_duplex);
@@ -302,22 +273,6 @@ TEST(RtAsyncVsBarrier, RejectsRingShallowerThanPlanDepth) {
     EXPECT_THROW(AsyncPlayer(plan, 2), check_error);
     AsyncPlayer ok(plan, 4);
     EXPECT_TRUE(ok.play().clean());
-}
-
-TEST(RtThreads, AutoPickDefaultsToTwoWhenHardwareUnknown) {
-    EXPECT_EQ(pick_worker_threads(3, 0, 0), 2u);
-    EXPECT_EQ(pick_worker_threads(3, 0, 1), 2u);
-}
-
-TEST(RtThreads, AutoPickUsesHardwareClampedToCubeSize) {
-    EXPECT_EQ(pick_worker_threads(3, 0, 16), 8u);  // clamp to 2^3
-    EXPECT_EQ(pick_worker_threads(5, 0, 16), 16u); // fits under 2^5
-}
-
-TEST(RtThreads, ExplicitRequestIsHonoredUpToCubeSize) {
-    EXPECT_EQ(pick_worker_threads(4, 7, 64), 7u);
-    EXPECT_EQ(pick_worker_threads(2, 9, 64), 4u); // clamp to 2^2
-    EXPECT_EQ(pick_worker_threads(4, 1, 64), 1u);
 }
 
 } // namespace

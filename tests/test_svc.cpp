@@ -342,6 +342,19 @@ TEST(SvcSelector, ScatterPrefersBalancedTree) {
     EXPECT_EQ(sel.packets, 1u);
 }
 
+TEST(SvcSelector, DefaultSessionCalibratesInsteadOfFallingBack) {
+    // A default Session fits tau and t_c from its reduce probes, whose time
+    // grows with the block; the iPSC constants are only the fallback for a
+    // degenerate fit and must not be what a working host ends up with.
+    const Session session(3);
+    const model::CommParams fitted = session.selector().comm_params();
+    const model::CommParams ipsc = model::ipsc_params();
+    EXPECT_FALSE(fitted.tau == ipsc.tau && fitted.tc == ipsc.tc)
+        << "calibration fell back to the iPSC constants";
+    EXPECT_GT(fitted.tc, 0.0);
+    EXPECT_GE(fitted.tau, 0.0);
+}
+
 // ----------------------------------------------------------------- Session
 
 TEST(SvcSession, ExecutesEveryOpVerified) {
@@ -494,32 +507,28 @@ TEST(SvcSession, ReportsExactResidentBytes) {
     // Under a byte budget each entry is charged exactly its parts, rebuilt
     // here independently: a one-worker, depth-1 plan and its async player
     // after one play.
-    const auto parts = [](const Signature& sig, std::uint64_t& ring_bytes,
-                          std::uint64_t& dep_graph_bytes) {
+    const auto parts = [](const Signature& sig, std::uint64_t& ring_bytes) {
         const GeneratedSchedule gen = make_schedule(sig);
         const rt::Plan plan =
             rt::compile_plan(gen.exec, gen.mode, sig.block_elems, 1, 1);
         rt::AsyncPlayer player(plan);
         EXPECT_TRUE(player.play().clean());
         ring_bytes = player.ring_bytes();
-        dep_graph_bytes = plan.footprint().dep_graph;
         return plan.resident_bytes() + player.resident_bytes();
     };
     std::uint64_t rings = 0;
-    std::uint64_t dep_graph = 0;
     SessionParams budget = fast_session();
     budget.plan_cache_bytes = 64u << 20;
     {
         // A move-mode entry in steady state (the oracle player and the
         // full-check state dropped after its first verified pass): plan
-        // and player only, with no rings and no dependency graph.
+        // and player only, with no rings.
         Session priced(3, budget);
         (void)priced.execute(a);
         const ExecStats steady = priced.execute(a);
         EXPECT_TRUE(steady.verified);
-        EXPECT_EQ(steady.plan_resident_bytes, parts(a, rings, dep_graph));
+        EXPECT_EQ(steady.plan_resident_bytes, parts(a, rings));
         EXPECT_EQ(rings, 0u);
-        EXPECT_EQ(dep_graph, 0u);
         EXPECT_EQ(priced.cache_resident_bytes(), steady.plan_resident_bytes);
         // The player charges its slot views and nothing else: the digests
         // it checks against are the arena's table, charged once, by the
@@ -554,9 +563,8 @@ TEST(SvcSession, ReportsExactResidentBytes) {
             sim::execute_schedule(gen.feasibility, b.model)
                 .delivery_cycle.resident_bytes();
         EXPECT_EQ(first.plan_resident_bytes,
-                  parts(b, rings, dep_graph) + full_check_state);
+                  parts(b, rings) + full_check_state);
         EXPECT_GT(rings, 0u);
-        EXPECT_EQ(dep_graph, 0u);
         EXPECT_EQ(priced.cache_resident_bytes(), first.plan_resident_bytes);
         // Part of the plan's charge is its share of the contribution arena
         // it seeds from: every node's 16-element (one stride) block for
@@ -622,19 +630,6 @@ TEST(SvcSession, ByteBudgetHoldsManySmallPlans) {
     EXPECT_EQ(session.cache_stats().evictions, 0u);
     EXPECT_LE(session.cache_resident_bytes(), params.plan_cache_bytes);
     EXPECT_GT(session.cache_resident_bytes(), 0u);
-}
-
-TEST(SvcSession, WideLayoutSessionStaysVerified) {
-    // The HCUBE_PLAN_COMPACT=0 equivalent, selected through params: the
-    // wide reference encoding must verify identically through the full
-    // session path (compile, cache, steady-state byte checks).
-    SessionParams params = fast_session();
-    params.plan_layout = rt::PlanLayout::wide;
-    Session session(3, params);
-    const Signature sig = sig_of(Op::reduce, Family::sbt, 3, 0, 2, 16);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_TRUE(session.execute(sig).verified);
-    }
 }
 
 TEST(SvcSession, ConcurrentExecuteOnCallerThreads) {
