@@ -1,16 +1,17 @@
-// Recovery-latency and degraded-throughput benchmark of the self-healing
-// collectives (hcube::ft): for each op and engine, deterministic link
-// kills are injected mid-stream and the full inject → detect → recover
-// loop runs to byte-verified completion against the cached fault-free
-// oracle. Per row:
+// Recovery-latency benchmark of the self-healing collectives (hcube::ft):
+// for each op, deterministic link kills are injected mid-stream and the
+// full inject → detect → recover loop runs on the serial walk to
+// byte-verified completion against the cached fault-free oracle. Per row:
 //   * oracle ms    — the fault-free ground-truth run (paid once per op,
 //                    amortized across the fault sweep),
-//   * recovery ms  — failed attempts + replanning, the price of healing,
-//   * final ms     — the clean run on the replanned schedule,
-//   * GB/s         — delivered throughput of that final run: with faults
-//                    this is the *degraded* figure (the MSBT loses one
-//                    edge-disjoint tree per dead link and pipelines
-//                    deeper; the SBT family swaps in a replacement tree).
+//   * recovery ms  — failed attempts + replanning, the price of healing
+//                    (an empty ring is reported at once, so this is
+//                    detection plus rebuild, with no arrival wait),
+//   * final ms     — the clean run on the replanned schedule, with its
+//                    payload bytes (the *degraded* schedule's: the MSBT
+//                    loses one edge-disjoint tree per dead link and
+//                    pipelines deeper; the SBT family swaps in a
+//                    replacement tree) and the bytes it copied.
 // `verified` is the differential check — the recovered run's contract
 // memory byte-identical to the oracle's — and the binary exits non-zero if
 // any row fails it (CI greps the JSON for `"verified": false` as well).
@@ -23,8 +24,8 @@
 //               [--faults-max 2] [--json <path>]
 //               [--trace-out <path>]
 //
-// --trace-out writes one chrome://tracing process per (op, n, engine,
-// faults) configuration; the aborted attempt and the recovered re-run land
+// --trace-out writes one chrome://tracing process per (op, n, faults)
+// configuration; the aborted attempt and the recovered re-run land
 // in the same timeline, so the detection stall and the replan gap are
 // directly visible.
 #include "bench_util.hpp"
@@ -66,16 +67,15 @@ struct OpCase {
 
 struct Row {
     std::string op;
-    std::string engine;
     dim_t n = 0;
     std::uint32_t faults = 0;
     std::uint32_t attempts = 0;
     std::uint32_t dropped_trees = 0;
-    std::uint64_t payload_bytes = 0;
+    std::uint64_t payload_bytes = 0; ///< final run: blocks x block bytes
+    std::uint64_t bytes_copied = 0;  ///< final run: payload memcpy'd
     double oracle_ms = 0;
     double recovery_ms = 0;
     double final_ms = 0;
-    double gbps = 0;
     bool verified = false;
 };
 
@@ -173,84 +173,71 @@ int main(int argc, char** argv) {
          }},
     };
 
-    std::printf("%-12s %3s %-8s %6s %8s %7s %9s %11s %9s %8s %5s\n", "op",
-                "n", "engine", "faults", "attempts", "dropped", "oracle ms",
-                "recovery ms", "final ms", "GB/s", "ok");
+    std::printf("%-12s %3s %6s %8s %7s %9s %11s %9s %12s %5s\n", "op", "n",
+                "faults", "attempts", "dropped", "oracle ms", "recovery ms",
+                "final ms", "payload B", "ok");
 
     std::vector<Row> rows;
     for (const OpCase& c : cases) {
         for (dim_t n = nmin; n <= nmax; ++n) {
             const Schedule schedule = c.generate(n);
-            for (const rt::Engine engine :
-                 {rt::Engine::barrier, rt::Engine::async}) {
-                ft::ResilientParams params;
-                params.block_elems = block;
-                params.engine = engine;
-                ft::ResilientComm comm(n, params);
+            ft::ResilientParams params;
+            params.block_elems = block;
+            ft::ResilientComm comm(n, params);
 
-                std::unique_ptr<rt::TraceRecorder> recorder;
-                if (trace_json != nullptr) {
-                    recorder = std::make_unique<rt::TraceRecorder>(1);
+            std::unique_ptr<rt::TraceRecorder> recorder;
+            if (trace_json != nullptr) {
+                recorder = std::make_unique<rt::TraceRecorder>(1);
+            }
+
+            // Fault count 0 measures the healthy baseline (and the oracle
+            // build); each further count reuses the cached oracle, so the
+            // sweep isolates the cost of healing.
+            for (std::uint32_t faults = 0; faults <= faults_max; ++faults) {
+                if (recorder != nullptr) {
+                    recorder->reset();
+                    // A run the arbiter aborts flushes its partial
+                    // timeline here even if recovery then throws.
+                    recorder->set_abort_path(trace_path + ".abort.json");
+                    comm.set_trace(recorder.get());
+                }
+                const ft::RecoveryResult r =
+                    c.run(comm, n, spaced_kills(schedule, faults));
+                if (recorder != nullptr) {
+                    comm.set_trace(nullptr);
+                    recorder->append_chrome_events(
+                        *trace_json, trace_pid++,
+                        c.name + " n=" + std::to_string(n) +
+                            " f=" + std::to_string(faults));
                 }
 
-                // Fault count 0 measures the healthy baseline (and the
-                // oracle build); each further count reuses the cached
-                // oracle, so the sweep isolates the cost of healing.
-                for (std::uint32_t faults = 0; faults <= faults_max;
-                     ++faults) {
-                    if (recorder != nullptr) {
-                        recorder->reset();
-                        // A run the arbiter aborts flushes its partial
-                        // timeline here even if recovery then throws.
-                        recorder->set_abort_path(trace_path +
-                                                 ".abort.json");
-                        comm.set_trace(recorder.get());
-                    }
-                    const ft::RecoveryResult r =
-                        c.run(comm, n, spaced_kills(schedule, faults));
-                    if (recorder != nullptr) {
-                        comm.set_trace(nullptr);
-                        recorder->append_chrome_events(
-                            *trace_json, trace_pid++,
-                            c.name + " n=" + std::to_string(n) + " " +
-                                std::string(to_string(engine)) + " f=" +
-                                std::to_string(faults));
-                    }
+                Row row;
+                row.op = c.name;
+                row.n = n;
+                row.faults = faults;
+                row.attempts = r.attempts;
+                row.dropped_trees =
+                    static_cast<std::uint32_t>(r.dropped_trees.size());
+                row.payload_bytes = r.stats.payload_bytes;
+                row.bytes_copied = r.stats.bytes_copied;
+                row.oracle_ms = r.oracle_seconds * 1e3;
+                row.recovery_ms = r.recovery_seconds * 1e3;
+                row.final_ms = r.final_seconds * 1e3;
+                row.verified =
+                    r.delivered && r.stats.clean() &&
+                    (faults == 0 ? !r.recovered
+                                 : r.recovered && !r.dead_links.empty());
+                rows.push_back(row);
 
-                    Row row;
-                    row.op = c.name;
-                    row.engine = std::string(to_string(engine));
-                    row.n = n;
-                    row.faults = faults;
-                    row.attempts = r.attempts;
-                    row.dropped_trees =
-                        static_cast<std::uint32_t>(r.dropped_trees.size());
-                    row.payload_bytes = r.stats.payload_bytes;
-                    row.oracle_ms = r.oracle_seconds * 1e3;
-                    row.recovery_ms = r.recovery_seconds * 1e3;
-                    row.final_ms = r.final_seconds * 1e3;
-                    row.gbps = r.final_seconds > 0
-                                   ? static_cast<double>(
-                                         r.stats.payload_bytes) /
-                                         r.final_seconds * 1e-9
-                                   : 0.0;
-                    row.verified =
-                        r.delivered && r.stats.clean() &&
-                        (faults == 0
-                             ? !r.recovered
-                             : r.recovered &&
-                                   !r.dead_links.empty());
-                    rows.push_back(row);
-
-                    std::printf("%-12s %3d %-8s %6u %8u %7u %9.3f %11.3f "
-                                "%9.3f %8.3f %5s\n",
-                                row.op.c_str(), n, row.engine.c_str(),
-                                row.faults, row.attempts,
-                                row.dropped_trees, row.oracle_ms,
-                                row.recovery_ms, row.final_ms, row.gbps,
-                                row.verified ? "yes" : "NO");
-                    std::fflush(stdout);
-                }
+                std::printf("%-12s %3d %6u %8u %7u %9.3f %11.3f %9.3f "
+                            "%12llu %5s\n",
+                            row.op.c_str(), n, row.faults, row.attempts,
+                            row.dropped_trees, row.oracle_ms,
+                            row.recovery_ms, row.final_ms,
+                            static_cast<unsigned long long>(
+                                row.payload_bytes),
+                            row.verified ? "yes" : "NO");
+                std::fflush(stdout);
             }
         }
     }
@@ -265,17 +252,17 @@ int main(int argc, char** argv) {
         for (const Row& r : rows) {
             json.begin_row();
             json.field("op", r.op);
-            json.field("engine", r.engine);
             json.field("n", r.n);
             json.field("block_elems", static_cast<std::uint64_t>(block));
             json.field("faults_injected", r.faults);
             json.field("attempts", r.attempts);
             json.field("dropped_trees", r.dropped_trees);
             json.field("payload_bytes", r.payload_bytes);
+            json.field("bytes_copied", r.bytes_copied);
+            json.field("seconds", r.final_ms * 1e-3);
             json.field("oracle_ms", r.oracle_ms);
             json.field("recovery_ms", r.recovery_ms);
             json.field("final_ms", r.final_ms);
-            json.field("gbytes_per_sec", r.gbps);
             json.field("verified", r.verified);
             json.end_row();
         }

@@ -10,9 +10,12 @@
 //     barrier engine's (the oracle check).
 //
 // Every (workload, n, block) runs under both engines: one barrier row and
-// one async row. The async row's `speedup` column is barrier-seconds /
-// async-seconds at identical payload — the measured cost of two barrier
-// crossings per routing cycle against the barrier-free walk.
+// one async row. The serial walk executes every production play; the
+// barrier Player only checks it. The async row's `speedup` column is
+// barrier-seconds / async-seconds at identical payload — what a play costs
+// the oracle (two barrier crossings per routing cycle) against the
+// barrier-free walk. The paper's algorithm-vs-algorithm speedups need
+// ports that run in parallel, so they are not measured here.
 //
 // The timed region is play() only: schedule generation, plan compilation
 // and allocation are excluded, mirroring bench_executor.
@@ -33,7 +36,7 @@
 // mode (how the engine executed: barrier or serial).
 //
 // --trace-out writes a chrome://tracing (Perfetto-compatible) JSON file:
-// one extra instrumented run per (workload, n, block, engine)
+// one extra instrumented serial-walk run per (workload, n, block)
 // configuration, begin/end of every send/recv action, one process (pid)
 // per configuration. Keep the sweep narrow when tracing.
 #include "bench_util.hpp"
@@ -83,7 +86,7 @@ struct Row {
     std::string workload;
     std::string op;
     std::string algo;
-    std::string engine; ///< barrier | async
+    std::string player; ///< barrier (the oracle) | async (the serial walk)
     dim_t n = 0;
     std::uint64_t block_elems = 0;
     packet_t packets = 0;
@@ -320,11 +323,11 @@ int main(int argc, char** argv) {
                 };
 
                 Row barrier_row = base;
-                barrier_row.engine = "barrier";
+                barrier_row.player = "barrier";
                 measure(barrier_player, barrier_row);
 
                 Row async_row = base;
-                async_row.engine = "async";
+                async_row.player = "async";
                 measure(async_player, async_row);
                 // The oracle check: after both engines' final reps the
                 // memory images must agree byte for byte.
@@ -339,7 +342,7 @@ int main(int argc, char** argv) {
                     std::printf("%-12s %3d %5zu %-8s %8u %7u %10llu %12llu "
                                 "%12llu %9.2f %-8s ",
                                 row->workload.c_str(), n, block,
-                                row->engine.c_str(), row->packets,
+                                row->player.c_str(), row->packets,
                                 row->rt_cycles,
                                 static_cast<unsigned long long>(
                                     row->blocks_delivered),
@@ -360,66 +363,19 @@ int main(int argc, char** argv) {
                 rows.push_back(async_row);
 
                 if (trace_json != nullptr) {
-                    // One instrumented (untimed) run per engine; every
-                    // configuration becomes its own chrome-trace process.
-                    const std::string label =
-                        w.name + " n=" + std::to_string(n) +
-                        " blk=" + std::to_string(block);
+                    // One instrumented (untimed) run of the serial walk,
+                    // the engine that executes; every configuration
+                    // becomes its own chrome-trace process.
                     hcube::rt::TraceRecorder recorder(1);
-                    barrier_player.set_trace(&recorder);
-                    (void)barrier_player.play();
-                    barrier_player.set_trace(nullptr);
-                    recorder.append_chrome_events(*trace_json, trace_pid++,
-                                                  label + " barrier");
-                    recorder.reset();
                     async_player.set_trace(&recorder);
                     (void)async_player.play();
                     async_player.set_trace(nullptr);
-                    recorder.append_chrome_events(*trace_json, trace_pid++,
-                                                  label + " async");
+                    recorder.append_chrome_events(
+                        *trace_json, trace_pid++,
+                        w.name + " n=" + std::to_string(n) +
+                            " blk=" + std::to_string(block));
                 }
             }
-        }
-    }
-
-    // Headline algorithm-vs-algorithm speedups, measured on the barrier
-    // engine: the paper's latency argument (fewer routing cycles at equal
-    // bytes) is a statement about the per-cycle synchronization cost,
-    // which is exactly what the barrier engine pays and the serial walk
-    // retires. The async rows' own speedup column quantifies that
-    // retirement per workload.
-    const std::size_t headline_block = blocks.front();
-    const auto find = [&rows, headline_block](const std::string& name,
-                                              dim_t n) -> const Row* {
-        for (const Row& r : rows) {
-            if (r.workload == name && r.n == n && r.engine == "barrier" &&
-                r.block_elems == headline_block) {
-                return &r;
-            }
-        }
-        return nullptr;
-    };
-    std::printf("\n%-28s %3s %10s %10s %8s\n",
-                "speedup (barrier engine)", "n", "base us", "fast us",
-                "ratio");
-    for (dim_t n = nmin; n <= nmax; ++n) {
-        const struct {
-            const char* label;
-            const char* base;
-            const char* fast;
-        } pairs[] = {
-            {"msbt vs sbt broadcast", "sbt_bcast", "msbt_bcast"},
-            {"bst vs sbt scatter", "sbt_scatter", "bst_scatter"},
-        };
-        for (const auto& pair : pairs) {
-            const Row* b = find(pair.base, n);
-            const Row* f = find(pair.fast, n);
-            if (b == nullptr || f == nullptr) {
-                continue;
-            }
-            std::printf("%-28s %3d %10.3f %10.3f %7.2fx\n", pair.label, n,
-                        b->seconds * 1e6, f->seconds * 1e6,
-                        b->seconds / f->seconds);
         }
     }
 
@@ -435,7 +391,7 @@ int main(int argc, char** argv) {
             json.field("workload", r.workload);
             json.field("op", r.op);
             json.field("algo", r.algo);
-            json.field("engine", r.engine);
+            json.field("engine", r.player);
             json.field("n", r.n);
             json.field("block_elems", r.block_elems);
             json.field("packets", r.packets);
@@ -454,7 +410,7 @@ int main(int argc, char** argv) {
             json.field("channel_faults", r.channel_faults);
             json.field("timeouts", r.timeouts);
             json.field("seconds", r.seconds);
-            if (r.engine == "async") {
+            if (r.player == "async") {
                 json.field("speedup_vs_barrier", r.speedup);
             }
             json.field("verified", r.verified);

@@ -9,12 +9,13 @@
 //
 //   inject   FaultPlan + ChannelFaultHook — a deterministic, PRNG-seedable
 //            list of per-directed-link faults applied inside ChannelBank at
-//            the instant a block is pushed, so the barrier Player and the
-//            AsyncPlayer feel byte-identical failures;
-//   detect   DetectConfig + FaultReport — a bounded arrival wait on pops
-//            plus the existing per-block checksum, promoted from a counter
-//            into a structured report (which directed link, which logical
-//            cycle, which fault class) that aborts an in-flight plan;
+//            the instant a block is pushed;
+//   detect   FaultReport — a missing block at pop time plus the existing
+//            per-block checksum, promoted from a counter into a structured
+//            report (which directed link, which logical cycle, which fault
+//            class) that aborts an in-flight plan. The in-process ring
+//            reports a missing block at once; socket transports first wait
+//            out a bounded arrival window (DetectConfig);
 //   recover  ft::ResilientComm (resilient.hpp) — replans around the dead
 //            link and re-executes idempotently.
 //
@@ -146,7 +147,8 @@ public:
 /// How a failure manifested at the receiver.
 enum class DetectClass : std::uint8_t {
     none,             ///< no fault detected
-    arrival_timeout,  ///< the expected block never arrived in bound
+    arrival_timeout,  ///< the expected block is missing: an empty ring at
+                      ///< pop time, or a socket wait that ran out
     checksum_mismatch,///< the block arrived with a corrupted payload
     stream_mismatch,  ///< wrong packet or sequence stamp at the ring head
 };
@@ -164,7 +166,7 @@ enum class DetectClass : std::uint8_t {
 /// Structured failure description raised by an execution engine: which
 /// directed link failed, during which logical schedule cycle, and how the
 /// failure manifested. The first fault of a run wins; the engine then
-/// aborts and drains the in-flight plan.
+/// aborts the in-flight plan.
 struct FaultReport {
     DetectClass cls = DetectClass::none;
     node_t from = 0;           ///< sending endpoint of the failed link
@@ -198,46 +200,38 @@ enum class TransportClass : std::uint8_t {
     return "?";
 }
 
-/// Detection policy for an execution engine. Disabled by default (timeout
-/// 0): pops keep the legacy behavior of counting a channel fault and
-/// moving on, so existing fault-free workloads are untouched.
+/// Arrival policy of the socket transports (net::NetPlayer, net::run_job).
+/// An expected block's arrival there is asynchronous — an I/O thread
+/// publishes it after a wire crossing, possibly after ack-timeout
+/// retransmits — so a pop waits up to the bound before it declares the
+/// link dead. The in-process ring never waits: every push a pop can match
+/// has already run on the popping thread (or before the barrier that
+/// separates the oracle's phases), so an empty ring is a lost block.
 struct DetectConfig {
-    /// Bound on how long a pop waits for its block before declaring the
-    /// link dead. 0 disables detection (and the abort path) entirely.
-    /// A published block is always visible by the time its pop runs (the
-    /// barrier or the dependency edge provides the happens-before), so the
-    /// wait only ever expires on a genuinely missing block — the bound can
-    /// be tight without risking false positives.
+    /// Bound on how long a pop waits for its block. 0 picks the
+    /// transport's default (for_transport).
     std::uint32_t arrival_timeout_us = 0;
-    /// Abort and drain the plan on the first detected fault (the recovery
-    /// path); false keeps counting faults to the end of the run.
-    bool abort_on_fault = true;
 
     [[nodiscard]] bool enabled() const noexcept {
         return arrival_timeout_us > 0;
     }
 
-    /// Default arrival bound per transport. The ring value is the
-    /// thread-tuned bound ft::ResilientComm always used; socket transports
-    /// wait orders of magnitude longer because an expected block's arrival
-    /// is asynchronous (an I/O thread publishes it after a wire crossing,
-    /// possibly after ack-timeout retransmits) — the happens-before
-    /// invariant that let the ring bound be tight does not hold there.
+    /// Default arrival bound per transport: 0 for the ring, which has no
+    /// wait; the socket bounds leave room for retransmits.
     [[nodiscard]] static constexpr std::uint32_t
     default_arrival_timeout_us(TransportClass t) noexcept {
         switch (t) {
-        case TransportClass::ring: return 2'000;
+        case TransportClass::ring: return 0;
         case TransportClass::uds: return 500'000;
         case TransportClass::tcp: return 2'000'000;
         }
-        return 2'000;
+        return 0;
     }
 
-    /// A detection policy scaled for `t`, with abort-and-drain on.
+    /// The arrival policy scaled for `t`.
     [[nodiscard]] static constexpr DetectConfig
     for_transport(TransportClass t) noexcept {
-        return {.arrival_timeout_us = default_arrival_timeout_us(t),
-                .abort_on_fault = true};
+        return {.arrival_timeout_us = default_arrival_timeout_us(t)};
     }
 };
 

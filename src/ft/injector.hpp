@@ -6,10 +6,9 @@
 // dropped): the bank's own sequence counter stamps publications only, so it
 // falls behind the logical count as soon as a block is swallowed — which is
 // precisely the desynchronization the detection layer later observes as an
-// arrival timeout or a stream mismatch. The per-channel counters are plain
-// (non-atomic) uint32: pushes on one channel are serialized by node
-// ownership under the barrier Player and by ring-order dependency edges
-// under the AsyncPlayer, and the hook runs on the pushing thread.
+// arrival timeout. The per-channel counters are plain (non-atomic) uint32:
+// only the AsyncPlayer's serial walk takes a fault hook, so every push runs
+// on its one thread.
 #pragma once
 
 #include "ft/fault_model.hpp"
@@ -23,7 +22,7 @@ namespace hcube::ft {
 
 /// The ChannelFaultHook implementation behind every injected scenario.
 /// Lifecycle: construct from a FaultPlan, arm() against each compiled
-/// rt::Plan it will run under, install via the engine's set_fault_hook,
+/// rt::Plan it will run under, install via AsyncPlayer::set_fault_hook,
 /// rewind() between runs of the same plan.
 class FaultInjector final : public ChannelFaultHook {
 public:

@@ -22,7 +22,7 @@ namespace {
 
 using sim::Schedule;
 
-/// The fault-free ground truth: a barrier-engine run of the original
+/// The fault-free ground truth: a barrier-Player run of the original
 /// schedule plus the cycle model's delivery matrix. Heap members keep the
 /// Plan's address stable under the Player's reference.
 struct Oracle {
@@ -45,8 +45,7 @@ Oracle build_oracle(const Schedule& schedule,
     oracle.plan = std::make_unique<rt::Plan>(
         compile_plan(schedule, rt::DataMode::move, params.block_elems, 1,
                      8, rt::PlanLayout::automatic, members));
-    oracle.player =
-        std::make_unique<rt::Player>(*oracle.plan, params.channel_capacity);
+    oracle.player = std::make_unique<rt::Player>(*oracle.plan);
     const rt::PlayStats stats = oracle.player->play();
     HCUBE_ENSURE_MSG(stats.clean() &&
                          stats.blocks_delivered == schedule.sends.size(),
@@ -139,6 +138,39 @@ template <typename PlayerT>
     return true;
 }
 
+/// One attempt: the serial walk plays `plan` with detection armed and
+/// `injector` on its rings. A faulted run appends its FaultReport (and the
+/// time from `start` to the fault surfacing) and returns false; a clean run
+/// records whether it reproduced the oracle and returns true.
+bool run_attempt(const rt::Plan& plan, std::size_t sends,
+                 FaultInjector& injector, rt::TraceRecorder* trace,
+                 const Oracle& oracle,
+                 std::chrono::steady_clock::time_point start,
+                 RecoveryResult& out) {
+    rt::AsyncPlayer player(plan);
+    player.set_detection(true);
+    player.set_fault_hook(&injector);
+    player.set_trace(trace);
+    const rt::PlayStats stats = player.play();
+    ++out.attempts;
+    if (!stats.clean() || stats.blocks_delivered != sends) {
+        out.reports.push_back(player.fault_report());
+        // Detection latency: attempt start to the failed run's return —
+        // how long the fault took to surface.
+        static obs::Histogram& m_detect =
+            obs::registry().histogram("ft.detect_ns");
+        m_detect.record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count()));
+        return false;
+    }
+    out.delivered = matches_oracle(oracle, player);
+    out.stats = stats;
+    out.final_seconds = stats.seconds;
+    return true;
+}
+
 } // namespace
 
 /// Fault-free ground truths keyed by operation signature; a sweep of fault
@@ -152,9 +184,6 @@ ResilientComm::ResilientComm(dim_t n, ResilientParams params)
       oracles_(std::make_unique<OracleStore>()), view_(n) {
     HCUBE_ENSURE(n >= 1 && n <= hc::kMaxDimension);
     HCUBE_ENSURE(params_.block_elems >= 1);
-    HCUBE_ENSURE_MSG(params_.detect.enabled(),
-                     "resilient execution requires a nonzero arrival "
-                     "timeout — detection is the trigger for recovery");
     HCUBE_ENSURE(params_.max_attempts >= 1);
 }
 
@@ -185,55 +214,22 @@ RecoveryResult ResilientComm::run_resilient(const std::string& oracle_key,
     for (std::uint32_t attempt = 0; attempt < params_.max_attempts;
          ++attempt) {
         const clock::time_point attempt_start = clock::now();
-        const rt::Plan plan = compile_plan(
-            schedule, rt::DataMode::move, params_.block_elems, 1);
+        // Ring depth 1 is exact for the serial walk (rt/plan.hpp).
+        const rt::Plan plan =
+            compile_plan(schedule, rt::DataMode::move, params_.block_elems,
+                         1, /*async_depth=*/1);
         injector.arm(plan);
-
-        // One attempt on either engine; returns true when the run was
-        // clean AND reproduced the oracle.
-        const auto execute = [&](auto& player) {
-            player.set_detection(params_.detect);
-            player.set_fault_hook(&injector);
-            if (trace_ != nullptr) {
-                player.set_trace(trace_);
-            }
-            const rt::PlayStats stats = player.play();
-            ++out.attempts;
-            if (!stats.clean() ||
-                stats.blocks_delivered != schedule.sends.size()) {
-                out.reports.push_back(player.fault_report());
-                // Detection latency: attempt start to the failed run's
-                // join — how long the fault took to surface and drain.
-                static obs::Histogram& m_detect =
-                    obs::registry().histogram("ft.detect_ns");
-                m_detect.record(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        clock::now() - attempt_start)
-                        .count()));
-                return false;
-            }
-            out.delivered = matches_oracle(oracle, player);
-            out.stats = stats;
-            out.final_seconds = stats.seconds;
-            return true;
-        };
-
-        bool finished = false;
-        if (params_.engine == rt::Engine::barrier) {
-            rt::Player player(plan, params_.channel_capacity);
-            finished = execute(player);
-        } else {
-            rt::AsyncPlayer player(plan);
-            finished = execute(player);
-        }
+        const bool finished =
+            run_attempt(plan, schedule.sends.size(), injector, trace_,
+                        oracle, attempt_start, out);
         if (finished) {
             out.final_schedule = std::move(schedule);
             return out;
         }
 
         // Heal: declare the reported link dead and replan around the whole
-        // dead set. A timeout/mismatch with no claimed report (cannot
-        // happen with abort_on_fault, but cheap to guard) aborts recovery.
+        // dead set. A dirty run with no claimed report (cannot happen with
+        // detection armed, but cheap to guard) aborts recovery.
         const FaultReport& report = out.reports.back();
         HCUBE_ENSURE_MSG(report.faulted(),
                          "attempt failed without a fault report");
@@ -331,44 +327,12 @@ RecoveryResult ResilientComm::run_member_resilient(
 
         const rt::Plan plan =
             compile_plan(schedule, rt::DataMode::move, params_.block_elems,
-                         1, 8, rt::PlanLayout::automatic, members);
+                         1, /*async_depth=*/1, rt::PlanLayout::automatic,
+                         members);
         injector.arm(plan);
-
-        const auto execute = [&](auto& player) {
-            player.set_detection(params_.detect);
-            player.set_fault_hook(&injector);
-            if (trace_ != nullptr) {
-                player.set_trace(trace_);
-            }
-            const rt::PlayStats stats = player.play();
-            ++out.attempts;
-            if (!stats.clean() ||
-                stats.blocks_delivered != schedule.sends.size()) {
-                out.reports.push_back(player.fault_report());
-                // Detection latency: attempt start to the failed run's
-                // join — how long the fault took to surface and drain.
-                static obs::Histogram& m_detect =
-                    obs::registry().histogram("ft.detect_ns");
-                m_detect.record(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        clock::now() - attempt_start)
-                        .count()));
-                return false;
-            }
-            out.delivered = matches_oracle(oracle, player);
-            out.stats = stats;
-            out.final_seconds = stats.seconds;
-            return true;
-        };
-
-        bool finished = false;
-        if (params_.engine == rt::Engine::barrier) {
-            rt::Player player(plan, params_.channel_capacity);
-            finished = execute(player);
-        } else {
-            rt::AsyncPlayer player(plan);
-            finished = execute(player);
-        }
+        const bool finished =
+            run_attempt(plan, schedule.sends.size(), injector, trace_,
+                        oracle, attempt_start, out);
         if (finished) {
             out.final_schedule = schedule;
             out.view_epoch = view_.epoch();

@@ -4,16 +4,17 @@
 // Every operation follows one protocol:
 //
 //   1. Oracle: the fault-free schedule is compiled and executed once on the
-//      barrier engine with no faults. Its final memory is the ground truth
+//      barrier Player with no faults. Its final memory is the ground truth
 //      the recovered run must reproduce byte for byte, and the cycle
 //      model's delivery matrix defines the contract pairs to compare.
 //      Oracles are cached per operation signature, so a sweep of fault
 //      positions over one collective pays for its oracle once.
 //   2. Attempt: the current schedule is compiled, the fault scenario is
-//      armed on its channels, and the configured engine executes it with
-//      bounded-wait detection. A clean run that delivers every scheduled
+//      armed on its channels, and the AsyncPlayer's serial walk executes
+//      it with detection armed. A clean run that delivers every scheduled
 //      block proceeds to verification; a faulted run yields a structured
-//      FaultReport naming the directed link that failed.
+//      FaultReport naming the directed link that failed — at the first
+//      empty ring, with no wait (rt/detect.hpp).
 //   3. Heal: the reported link is added to the dead set and the operation
 //      is replanned around every dead link — SBT-family collectives pick a
 //      permuted SBT (or BFS fallback) avoiding the links; the MSBT drops
@@ -35,8 +36,7 @@
 #include "ft/injector.hpp"
 #include "ft/recovery.hpp"
 #include "mbr/view.hpp"
-#include "rt/communicator.hpp" // rt::Engine
-#include "rt/player.hpp"       // rt::PlayStats
+#include "rt/player.hpp" // rt::PlayStats
 #include "rt/tracing.hpp"
 
 #include <cstdint>
@@ -51,16 +51,6 @@ namespace hcube::ft {
 struct ResilientParams {
     /// Elements (doubles) per packet block.
     std::size_t block_elems = 64;
-    /// Ring slots per link channel (barrier engine).
-    std::uint32_t channel_capacity = 2;
-    /// Engine that executes the attempts (the oracle always runs on the
-    /// barrier engine, fault-free).
-    rt::Engine engine = rt::Engine::async;
-    /// Detection policy for the attempts. The timeout must be longer than
-    /// any injected delay that should be absorbed rather than healed; the
-    /// default is the thread-transport bound (the attempts run on the
-    /// in-process ring bank).
-    DetectConfig detect = DetectConfig::for_transport(TransportClass::ring);
     /// Attempt budget: 1 initial execution + (max_attempts - 1) replans.
     std::uint32_t max_attempts = 4;
     /// Seed for the permuted-SBT search when replanning tree collectives.
@@ -106,7 +96,7 @@ public:
     [[nodiscard]] dim_t dimension() const noexcept { return n_; }
 
     /// Attaches a trace recorder so every attempt's actions land in one
-    /// timeline (lane 0: every attempt runs one-worker plans); nullptr
+    /// timeline (lane 0: every attempt is a serial walk); nullptr
     /// detaches.
     void set_trace(rt::TraceRecorder* trace) noexcept { trace_ = trace; }
 

@@ -164,8 +164,7 @@ void append_error(std::string& error, const std::string& msg) {
 
 ft::DetectConfig effective_detect(const JobSpec& spec) {
     if (spec.arrival_timeout_us != 0) {
-        return {.arrival_timeout_us = spec.arrival_timeout_us,
-                .abort_on_fault = true};
+        return {.arrival_timeout_us = spec.arrival_timeout_us};
     }
     return ft::DetectConfig::for_transport(spec.transport);
 }

@@ -23,8 +23,9 @@ NetPlayer::NetPlayer(const rt::Plan& plan, std::uint32_t rank,
         detect_ = ft::DetectConfig::for_transport(transport);
     }
     // Copy-through always: seed every slot and point the views at the
-    // local memory image, exactly like the barrier Player's copy-through
-    // prepare_views() — the precondition for byte-identical finals.
+    // local memory image, exactly like the in-process engines'
+    // copy-through prepare_views() — the precondition for byte-identical
+    // finals.
     seed_plan_memory(plan_, memory_);
     for (std::uint64_t s = 0; s < plan_.total_slots; ++s) {
         views_[static_cast<std::size_t>(s)] =
@@ -36,10 +37,15 @@ NetPlayStats NetPlayer::play() {
     arbiter_.reset();
     rt::PlayStats stats;
     const rt::RunContextT<SocketChannelBank> ctx{
-        plan_,    bank_,     views_.data(),
-        memory_.data(),      plan_.arena_digests().data(),
-        detect_,  arbiter_,  nullptr,
-        /*detecting=*/true,  /*copy_through=*/true};
+        plan_,
+        bank_,
+        views_.data(),
+        memory_.data(),
+        plan_.arena_digests().data(),
+        &arbiter_,
+        detect_.arrival_timeout_us,
+        /*trace=*/nullptr,
+        /*copy_through=*/true};
 
     const auto start = std::chrono::steady_clock::now();
     const std::uint32_t workers = plan_.workers;
@@ -52,7 +58,7 @@ NetPlayStats NetPlayer::play() {
              i < plan_.send_begin[bucket + 1]; ++i) {
             const rt::ActionFields a = plan_.bucket_send(i);
             rt::send_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
-                           rank_, stats);
+                           stats);
         }
         for (std::size_t i = plan_.recv_begin[bucket];
              i < plan_.recv_begin[bucket + 1]; ++i) {
@@ -62,7 +68,7 @@ NetPlayStats NetPlayer::play() {
             // plan's — a stricter check than the barrier engine needs.
             const rt::DeliverOutcome out = rt::deliver_block(
                 ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
-                /*check_seq=*/true, rank_, stats);
+                /*check_seq=*/true, stats);
             if (out == rt::DeliverOutcome::drained ||
                 (out == rt::DeliverOutcome::skipped &&
                  arbiter_.aborted())) {

@@ -9,8 +9,8 @@
 // barriers: the ordering a barrier provides in-process is supplied here by
 // the transport itself (per-channel in-order reliable delivery) plus the
 // bounded arrival wait, which is always on and scaled to the transport
-// class (a wire crossing, and its ack-timeout retransmits, need more
-// patience than a ring buffer; ft::DetectConfig::for_transport).
+// class (a wire crossing, and its ack-timeout retransmits, need room to
+// land; the in-process ring has no wait; ft::DetectConfig::for_transport).
 //
 // Copy-through is unconditional (inbound payloads land in transient wire
 // buffers), so delivery re-digests every arrived block against the

@@ -5,18 +5,13 @@
 #include "rt/delivery.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 namespace hcube::rt {
 
-AsyncPlayer::AsyncPlayer(const Plan& plan, std::uint32_t channel_capacity)
+AsyncPlayer::AsyncPlayer(const Plan& plan)
     : plan_(plan),
-      channel_capacity_(std::bit_ceil(std::max<std::uint32_t>(
-          channel_capacity == 0 ? plan.async_depth : channel_capacity, 1))),
       views_(static_cast<std::size_t>(plan.total_slots), nullptr) {
-    HCUBE_ENSURE_MSG(channel_capacity_ >= plan.async_depth,
-                     "channel ring shallower than the plan's async_depth");
     const std::uint64_t bytes =
         plan.total_slots * plan.block_elems * sizeof(double);
     HCUBE_ENSURE_MSG(bytes <= (std::uint64_t{1} << 34),
@@ -31,7 +26,7 @@ AsyncPlayer::AsyncPlayer(const Plan& plan, std::uint32_t channel_capacity)
 
 ChannelBank& AsyncPlayer::rings() {
     if (!channels_) {
-        channels_.emplace(plan_.channel_count, channel_capacity_,
+        channels_.emplace(plan_.channel_count, plan_.async_depth,
                           plan_.block_elems, plan_.mode == DataMode::combine);
         channels_->set_fault_hook(hook_);
     }
@@ -105,30 +100,33 @@ void AsyncPlayer::run_serial(PlayStats& stats, bool ring_walk) {
         }
         return;
     }
-    const RunContext ctx{plan_,          *channels_,
-                         views_.data(),  memory_.data(),
+    const RunContext ctx{plan_,
+                         *channels_,
+                         views_.data(),
+                         memory_.data(),
                          plan_.arena_digests().data(),
-                         detect_,        arbiter_,
-                         trace_,         detect_.enabled(),
+                         detecting_ ? &arbiter_ : nullptr,
+                         /*arrival_timeout_us=*/0,
+                         trace_,
                          copy_through_};
     // Sequential in hop order: the lowered accessors stream the
     // interleaved SoA entries 2l / 2l+1 contiguously.
     for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
-        if (ctx.detecting && arbiter_.aborted()) {
+        if (arbiter_.aborted()) {
             break;
         }
         const std::uint32_t lo = plan_.flat_cycle_begin[cycle];
         const std::uint32_t hi = plan_.flat_cycle_begin[cycle + 1];
         for (std::uint32_t i = lo; i < hi; ++i) {
             const ActionFields a = plan_.lowered_send(i);
-            send_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle}, 0,
+            send_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
                        stats);
         }
         for (std::uint32_t i = lo; i < hi; ++i) {
             const ActionFields a = plan_.lowered_recv(i);
             const DeliverOutcome out =
                 deliver_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
-                              /*check_seq=*/true, 0, stats);
+                              /*check_seq=*/true, stats);
             if (out == DeliverOutcome::drained ||
                 (out == DeliverOutcome::skipped && arbiter_.aborted())) {
                 break;
@@ -142,8 +140,7 @@ PlayStats AsyncPlayer::play() {
     arbiter_.reset();
     // Only the move-mode walk with no tracer and no detector hands blocks
     // over without rings; everything else runs the ring protocol.
-    const bool ring_walk =
-        copy_through_ || trace_ != nullptr || detect_.enabled();
+    const bool ring_walk = copy_through_ || trace_ != nullptr || detecting_;
     if (ring_walk) {
         rings().reset();
     }

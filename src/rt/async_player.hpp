@@ -21,6 +21,11 @@
 // channel bank. Everything else — copy-through (combine mode or a fault
 // hook), detection, tracing — runs the full ring protocol of
 // rt/delivery.hpp, which the bank is built for on first need.
+//
+// This is the engine that detects faults. Every send of a cycle runs
+// before its receives, on this thread, so a receive that finds its ring
+// empty reports the block lost at once: there is no producer left that
+// could still publish it (rt/detect.hpp).
 #pragma once
 
 #include "ft/fault_model.hpp"
@@ -39,19 +44,15 @@ namespace hcube::rt {
 
 class AsyncPlayer {
 public:
-    /// Allocates the slot views (and, for combine plans, slot memory) and
-    /// sizes (but does not yet build) a channel bank of `channel_capacity`
-    /// ring slots per link (0 picks the plan's async_depth; anything
-    /// smaller than async_depth is rejected as a ring shallower than the
-    /// plan was compiled for). The plan must outlive the player.
-    explicit AsyncPlayer(const Plan& plan,
-                         std::uint32_t channel_capacity = 0);
+    /// Allocates the slot views (and, for combine plans, slot memory);
+    /// the channel bank, plan.async_depth ring slots per link, is built on
+    /// first need. The plan must outlive the player.
+    explicit AsyncPlayer(const Plan& plan);
 
-    /// Enables bounded-wait fault detection (and, per config, the
-    /// abort-and-drain path). Only valid between runs.
-    void set_detection(const ft::DetectConfig& detect) noexcept {
-        detect_ = detect;
-    }
+    /// Arms fault detection: the first fault (a lost block, a wrong ring
+    /// head, a checksum mismatch) becomes fault_report() and stops the
+    /// walk. Only valid between runs.
+    void set_detection(bool armed) noexcept { detecting_ = armed; }
     /// Installs a fault-injection hook on the channel bank (nullptr
     /// clears). Only valid between runs.
     void set_fault_hook(ft::ChannelFaultHook* hook) {
@@ -71,7 +72,7 @@ public:
     [[nodiscard]] PlayStats play();
 
     /// The first fault the last play() detected (cls == none on a clean
-    /// run, or while detection is disabled).
+    /// run, or while detection is off).
     [[nodiscard]] const ft::FaultReport& fault_report() const noexcept {
         return arbiter_.report();
     }
@@ -112,7 +113,6 @@ private:
     void run_serial(PlayStats& stats, bool ring_walk);
 
     const Plan& plan_;
-    std::uint32_t channel_capacity_; ///< ring slots per link, power of two
     std::optional<ChannelBank> channels_; ///< built by rings() on first need
     ft::ChannelFaultHook* hook_ = nullptr;
     /// Per slot: the block the (node, packet) currently holds — arena
@@ -122,7 +122,7 @@ private:
     /// plans (first fault-hooked run), never touched on pure zero-copy.
     std::vector<double> memory_;
     bool copy_through_ = false; ///< decided per run in prepare_views()
-    ft::DetectConfig detect_{};
+    bool detecting_ = false;
     FaultArbiter arbiter_;
     TraceRecorder* trace_ = nullptr;
 };

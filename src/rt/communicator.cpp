@@ -48,60 +48,56 @@ bool Communicator::oracle_due(const Schedule& schedule) {
     return true;
 }
 
-Result Communicator::run_move(const Schedule& schedule) {
-    // The cycle executor proves the schedule feasible under the port model
-    // and provides the makespan + delivery matrix the runtime must match.
-    const sim::CycleStats sim_stats =
-        sim::execute_schedule(schedule, params_.model);
-
-    const Plan plan =
-        compile_plan(schedule, DataMode::move, params_.block_elems, 1);
+Result Communicator::play_verified(
+    const Schedule& schedule, DataMode mode, std::uint32_t makespan,
+    const std::function<bool(const Plan&, const AsyncPlayer&)>& content_ok) {
+    const Plan plan = compile_plan(schedule, mode, params_.block_elems, 1);
 
     Result result;
-    result.engine = params_.engine;
-    result.sim_makespan = sim_stats.makespan;
-
-    // The barrier player runs when it is the measured engine or when the
-    // Verify policy asks for the oracle cross-check of the async engine.
-    const bool with_oracle =
-        params_.engine == Engine::barrier || oracle_due(schedule);
+    result.sim_makespan = makespan;
+    const bool with_oracle = oracle_due(schedule);
     result.oracle_checked = with_oracle;
 
     std::optional<Player> ref;
-    PlayStats ref_stats;
     bool ok = true;
     if (with_oracle) {
-        ref.emplace(plan, params_.channel_capacity);
-        ref_stats = ref->play();
+        ref.emplace(plan);
+        const PlayStats ref_stats = ref->play();
         // The oracle itself must be clean: every in-flight checksum passed,
         // every channel behaved, exactly one delivery per scheduled send,
         // and its barriered cycle count matches the cycle model.
         ok = ref_stats.clean() &&
              ref_stats.blocks_delivered == schedule.sends.size() &&
-             ref_stats.cycles == sim_stats.makespan;
+             ref_stats.cycles == makespan;
+        result.ref_seconds = ref_stats.seconds;
     }
 
-    if (params_.engine == Engine::barrier) {
-        ok = ok && holdings_match(plan, *ref, sim_stats);
-        copy_play_stats(result, ref_stats);
-    } else {
-        AsyncPlayer dut(plan);
-        const PlayStats stats = dut.play();
-        ok = ok && stats.clean() &&
-             stats.blocks_delivered == schedule.sends.size() &&
-             holdings_match(plan, dut, sim_stats);
-        if (with_oracle) {
-            ok = ok && identical_memory(plan, *ref, dut);
-            result.ref_seconds = ref_stats.seconds;
-        }
-        copy_play_stats(result, stats);
+    AsyncPlayer dut(plan);
+    const PlayStats stats = dut.play();
+    ok = ok && stats.clean() &&
+         stats.blocks_delivered == schedule.sends.size() &&
+         content_ok(plan, dut);
+    if (with_oracle) {
+        ok = ok && identical_memory(plan, *ref, dut);
     }
+    copy_play_stats(result, stats);
     result.verified = ok;
     // A failed oracle pass must not inoculate the fingerprint.
     if (!ok && params_.verify == Verify::first && with_oracle) {
         oracle_seen_.erase(schedule_fingerprint(schedule));
     }
     return result;
+}
+
+Result Communicator::run_move(const Schedule& schedule) {
+    // The cycle executor proves the schedule feasible under the port model
+    // and provides the makespan + delivery matrix the runtime must match.
+    const sim::CycleStats sim_stats =
+        sim::execute_schedule(schedule, params_.model);
+    return play_verified(schedule, DataMode::move, sim_stats.makespan,
+                         [&](const Plan& plan, const AsyncPlayer& dut) {
+                             return holdings_match(plan, dut, sim_stats);
+                         });
 }
 
 Result Communicator::broadcast(const trees::SpanningTree& tree,
@@ -156,12 +152,12 @@ Result Communicator::reduce(const trees::SpanningTree& tree,
     const Schedule reduction =
         routing::reverse_broadcast_for_reduce(forward, tree.root);
 
-    const Plan plan =
-        compile_plan(reduction, DataMode::combine, params_.block_elems, 1);
-
     // The root's block for every packet must equal the exact elementwise
-    // integer sum of all N contributions.
-    const auto sums_match = [&](const auto& player) {
+    // integer sum of all N contributions. The serial walk accumulates in
+    // the barrier oracle's order, so even the floating-point intermediate
+    // states must agree bit for bit with it; the exact integer sums check
+    // stays meaningful with the oracle skipped.
+    const auto sums_match = [&](const Plan&, const AsyncPlayer& player) {
         const node_t count = node_t{1} << n_;
         for (packet_t p = 0; p < packets; ++p) {
             const std::span<const double> block = player.block(tree.root, p);
@@ -180,50 +176,8 @@ Result Communicator::reduce(const trees::SpanningTree& tree,
         }
         return true;
     };
-
-    Result result;
-    result.engine = params_.engine;
-    result.sim_makespan = sim_stats.makespan;
-
-    const bool with_oracle =
-        params_.engine == Engine::barrier || oracle_due(reduction);
-    result.oracle_checked = with_oracle;
-
-    std::optional<Player> ref;
-    PlayStats ref_stats;
-    bool ok = true;
-    if (with_oracle) {
-        ref.emplace(plan, params_.channel_capacity);
-        ref_stats = ref->play();
-        ok = ref_stats.clean() &&
-             ref_stats.blocks_delivered == reduction.sends.size() &&
-             ref_stats.cycles == sim_stats.makespan;
-    }
-
-    if (params_.engine == Engine::barrier) {
-        ok = ok && sums_match(*ref);
-        copy_play_stats(result, ref_stats);
-    } else {
-        AsyncPlayer dut(plan);
-        const PlayStats stats = dut.play();
-        // The serial walk accumulates in the barrier oracle's order, so
-        // even the floating-point intermediate states must agree bit for
-        // bit with it; the exact integer sums check stays meaningful with
-        // the oracle skipped.
-        ok = ok && stats.clean() &&
-             stats.blocks_delivered == reduction.sends.size() &&
-             sums_match(dut);
-        if (with_oracle) {
-            ok = ok && identical_memory(plan, *ref, dut);
-            result.ref_seconds = ref_stats.seconds;
-        }
-        copy_play_stats(result, stats);
-    }
-    result.verified = ok;
-    if (!ok && params_.verify == Verify::first && with_oracle) {
-        oracle_seen_.erase(schedule_fingerprint(reduction));
-    }
-    return result;
+    return play_verified(reduction, DataMode::combine, sim_stats.makespan,
+                         sums_match);
 }
 
 } // namespace hcube::rt

@@ -4,17 +4,16 @@
 // simulator* (simulated seconds), this communicator runs the cycle-exact
 // schedules as *real data movement*: directed links as sequence-stamped
 // ring-buffer channels and a checksum check on every delivered block.
-// Every operation compiles a one-worker plan, as svc::Session does. Two
-// engines execute it: the two-barrier-per-cycle Player (the cycle-exact
-// reference oracle) and the AsyncPlayer's serial lowered-order walk (the
-// fast path, no barriers). With Engine::async the barrier engine still runs
-// once per operation as the oracle, and verification additionally demands
-// a byte-identical final memory state across the two. Every operation also
+// Every operation compiles a one-worker plan, as svc::Session does, and
+// the AsyncPlayer's serial lowered-order walk executes it. The
+// two-barrier-per-cycle Player runs it too, as the cycle-exact reference
+// oracle (per the Verify policy), and verification then demands a
+// byte-identical final memory state across the two. Every operation also
 // executes the same schedule through sim::execute_schedule, so the result
 // carries both the measured wall clock and the cycle-model cross-check:
-// for uniform packets the barrier engine's cycle count equals the
-// CycleExecutor makespan exactly (the async engine reports the same
-// logical depth without ever synchronizing on it).
+// for uniform packets the oracle's cycle count equals the CycleExecutor
+// makespan exactly (the serial walk reports the same logical depth
+// without ever synchronizing on it).
 //
 // Operations map onto the paper's schedule families via the
 // routing/schedule_export.hpp hooks:
@@ -27,29 +26,22 @@
 #pragma once
 
 #include "routing/schedule_export.hpp"
+#include "rt/plan.hpp"
 #include "rt/player.hpp" // PlayStats, ExecMode
 #include "sim/port_model.hpp"
 #include "trees/spanning_tree.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <unordered_set>
 
 namespace hcube::rt {
 
-/// Which execution engine runs the schedule.
-enum class Engine {
-    barrier, ///< cycle-exact two-barrier-per-cycle Player (the oracle)
-    async,   ///< the AsyncPlayer's serial lowered-order walk (no barriers)
-};
+class AsyncPlayer;
 
-[[nodiscard]] constexpr std::string_view to_string(Engine e) noexcept {
-    return e == Engine::barrier ? "barrier" : "async";
-}
-
-/// When the async engine's barrier-oracle cross-check runs (see
-/// docs/RUNTIME.md § Verification policy). Irrelevant under
-/// Engine::barrier, where the measured engine *is* the oracle.
+/// When the barrier-oracle cross-check of the serial walk runs (see
+/// docs/RUNTIME.md § Verification policy).
 enum class Verify {
     always, ///< oracle re-executes every operation (the safest default)
     first,  ///< oracle runs once per distinct schedule fingerprint; later
@@ -69,17 +61,10 @@ enum class Verify {
 struct Params {
     /// Elements (doubles) per packet — the internal packet size B_int.
     std::size_t block_elems = 256;
-    /// Ring slots per link channel (barrier engine; the async engine sizes
-    /// its rings from the plan's async_depth).
-    std::uint32_t channel_capacity = 2;
     /// Port model the schedules are generated for and validated under.
     sim::PortModel model = sim::PortModel::one_port_full_duplex;
-    /// Engine whose stats the Result reports. Engine::async still runs the
-    /// barrier engine once as the reference oracle and cross-checks the
-    /// final memory states byte for byte — unless `verify` relaxes it.
-    Engine engine = Engine::async;
-    /// Barrier-oracle policy for the async engine. Tests default to
-    /// `always`; the service layer's cached steady state uses `first`.
+    /// Barrier-oracle policy. Tests default to `always`; the service
+    /// layer's cached steady state uses `first`.
     Verify verify = Verify::always;
 };
 
@@ -89,10 +74,10 @@ struct Result {
     std::uint64_t blocks_delivered = 0;
     std::uint64_t payload_bytes = 0; ///< bytes drained from link channels
     std::uint64_t bytes_copied = 0;  ///< payload bytes memcpy'd by the
-                                     ///< reported engine (0 = pure zero-copy)
-    double seconds = 0;              ///< wall clock of the reported engine
-    double ref_seconds = 0; ///< barrier-oracle wall clock (async engine)
-    /// Fault counters of the reported engine's run (all zero on a healthy
+                                     ///< serial walk (0 = pure zero-copy)
+    double seconds = 0;              ///< wall clock of the serial walk
+    double ref_seconds = 0; ///< barrier-oracle wall clock (0 if skipped)
+    /// Fault counters of the serial walk's run (all zero on a healthy
     /// machine; nonzero under ft fault injection or real failures).
     std::uint64_t checksum_failures = 0;
     std::uint64_t channel_faults = 0;
@@ -100,15 +85,15 @@ struct Result {
     bool verified = false; ///< per-block checksums + final-state checks
     /// The barrier oracle executed and cross-checked this operation (false
     /// when Verify::first already covered the fingerprint or Verify::never
-    /// suppressed it; meaningless under Engine::barrier, where it is true).
+    /// suppressed it).
     bool oracle_checked = false;
-    Engine engine = Engine::barrier; ///< engine the stats above came from
-    /// How the reported engine's run executed: barrier phases or the
-    /// AsyncPlayer's serial walk.
-    ExecMode exec_mode = ExecMode::barrier;
-    /// Medium the reported engine moved blocks over ("ring" for the
-    /// in-process bank; "uds"/"tcp" when a net-backend result is folded
-    /// into the same schema).
+    /// How the run executed: the AsyncPlayer's serial walk in process
+    /// (barrier phases only when a net-backend result is folded into the
+    /// same schema).
+    ExecMode exec_mode = ExecMode::serial;
+    /// Medium the blocks moved over ("ring" for the in-process bank;
+    /// "uds"/"tcp" when a net-backend result is folded into the same
+    /// schema).
     ft::TransportClass transport = ft::TransportClass::ring;
 };
 
@@ -152,6 +137,15 @@ private:
     /// Validates via the cycle executor, compiles, plays, verifies final
     /// holdings block by block.
     Result run_move(const sim::Schedule& schedule);
+
+    /// Compiles `schedule`, plays it on the serial walk (and the barrier
+    /// oracle when due) and verifies: clean stats, one delivery per send,
+    /// `content_ok` on the walk's final memory, and the oracle's cycle
+    /// count equal to `makespan` with a byte-identical final image.
+    Result play_verified(
+        const sim::Schedule& schedule, DataMode mode, std::uint32_t makespan,
+        const std::function<bool(const Plan&, const AsyncPlayer&)>&
+            content_ok);
 
     /// True when the barrier oracle must run for this schedule under the
     /// configured Verify policy (records the fingerprint under ::first).

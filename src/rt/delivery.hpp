@@ -1,11 +1,7 @@
-// The one arrival/verify/deliver implementation shared by both execution
-// engines.
-//
-// Before this helper existed the barrier Player and the
-// AsyncPlayer each carried a near-identical copy of the send-side push and
-// the receive-side drain/verify/deliver block; the zero-copy protocol now
-// lives here exactly once and the engines differ only in *when* they call
-// it (barrier phases vs the serial lowered-order walk).
+// The one arrival/verify/deliver implementation shared by every engine:
+// the barrier Player oracle, the AsyncPlayer's serial walk and
+// net::NetPlayer. The engines differ only in *when* they call it (barrier
+// phases, the serial lowered-order walk, one rank's buckets).
 //
 // Delivery protocol (docs/PERFORMANCE.md § The per-block hot path):
 //
@@ -33,6 +29,7 @@
 #include "rt/tracing.hpp"
 #include "rt/transport.hpp"
 
+#include <concepts>
 #include <cstring>
 
 namespace hcube::rt {
@@ -50,10 +47,13 @@ struct RunContextT {
     double* memory;       ///< copy-through slot storage; null in zero-copy
     /// Per packet, move mode only: the plan's arena digest table.
     const std::uint64_t* expected_checksum;
-    const ft::DetectConfig& detect;
-    FaultArbiter& arbiter;
-    TraceRecorder* trace;
-    bool detecting;
+    /// Detection: the first fault claims this slot and aborts the run.
+    /// Null leaves faults as counters only (the fault-free oracle).
+    FaultArbiter* arbiter;
+    /// How long a pop waits for a wire arrival; socket banks only (the
+    /// in-process ring never waits, see rt/detect.hpp).
+    std::uint32_t arrival_timeout_us;
+    TraceRecorder* trace; ///< records on lane 0; null when untraced
     bool copy_through;
 };
 
@@ -61,8 +61,8 @@ struct RunContextT {
 using RunContext = RunContextT<ChannelBank>;
 
 /// The hot fields of one lowered action, engine-agnostic: the barrier
-/// Player builds it from its (cycle, worker) buckets, the AsyncPlayer from
-/// the plan's SoA action arrays.
+/// Player and NetPlayer build it from (cycle, worker) buckets, the
+/// AsyncPlayer from the plan's SoA action arrays.
 struct ActionRef {
     std::uint32_t channel;
     std::uint32_t slot;
@@ -73,8 +73,8 @@ struct ActionRef {
 
 enum class DeliverOutcome {
     delivered, ///< block landed (even if its checksum was flagged)
-    skipped,   ///< fault counted; caller checks arbiter.aborted() to drain
-    drained,   ///< another worker's abort won; nothing counted
+    skipped,   ///< fault counted; caller checks arbiter->aborted() to stop
+    drained,   ///< the run was already aborted; nothing counted
 };
 
 // Both helpers are force-inlined: each engine's action loop is the whole
@@ -92,9 +92,7 @@ enum class DeliverOutcome {
 /// is an immutable arena block, so it outlives any in-flight window.
 template <Transport Bank>
 HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
-                                      const ActionRef& a,
-                                      std::uint32_t worker,
-                                      PlayStats& stats) {
+                                      const ActionRef& a, PlayStats& stats) {
     const std::size_t blk = ctx.plan.block_elems;
     const double* const view = ctx.views[a.slot];
     // Combine-mode descriptors carry no digest (the payload is a mutable
@@ -109,11 +107,10 @@ HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
     if (!ctx.channels.try_push(a.channel, a.packet, {view, blk}, checksum))
         [[unlikely]] {
         ++stats.channel_faults;
-        if (ctx.detecting) {
-            ctx.arbiter.raise(
+        if (ctx.arbiter != nullptr) {
+            ctx.arbiter->raise(
                 make_fault_report(ctx.plan, ft::DetectClass::stream_mismatch,
-                                  a.channel, a.cycle, a.packet),
-                ctx.detect.abort_on_fault);
+                                  a.channel, a.cycle, a.packet));
         }
     } else {
         ++stats.blocks_sent;
@@ -122,7 +119,7 @@ HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
         }
     }
     if (ctx.trace != nullptr) {
-        ctx.trace->record(worker, TraceKind::send, t0,
+        ctx.trace->record(0, TraceKind::send, t0,
                           TraceRecorder::clock::now(), a.channel, a.packet,
                           a.cycle);
     }
@@ -136,38 +133,40 @@ HCUBE_DELIVERY_INLINE void send_block(const RunContextT<Bank>& ctx,
 template <Transport Bank>
 HCUBE_DELIVERY_INLINE DeliverOutcome
 deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,
-              bool check_seq, std::uint32_t worker, PlayStats& stats) {
+              bool check_seq, PlayStats& stats) {
     const std::size_t blk = ctx.plan.block_elems;
     const TraceRecorder::clock::time_point t0 =
         ctx.trace != nullptr ? TraceRecorder::clock::now()
                              : TraceRecorder::clock::time_point{};
     ChannelBank::Desc d;
-    const bool present =
-        ctx.detecting ? await_front(ctx.channels, a.channel, d,
-                                    ctx.detect.arrival_timeout_us,
-                                    ctx.arbiter)
-                      : ctx.channels.front(a.channel, d);
+    bool present = ctx.channels.front(a.channel, d);
+    // The in-process ring never waits: an empty ring at pop time is a lost
+    // block. A socket bank's I/O thread may still publish it.
+    if constexpr (!std::same_as<Bank, ChannelBank>) {
+        if (!present && ctx.arbiter != nullptr) {
+            present = await_front(ctx.channels, a.channel, d,
+                                  ctx.arrival_timeout_us, *ctx.arbiter);
+        }
+    }
     if (!present) [[unlikely]] {
-        if (ctx.detecting && ctx.arbiter.aborted()) {
+        if (ctx.arbiter != nullptr && ctx.arbiter->aborted()) {
             return DeliverOutcome::drained;
         }
         ++stats.channel_faults;
-        if (ctx.detecting) {
+        if (ctx.arbiter != nullptr) {
             ++stats.timeouts;
-            ctx.arbiter.raise(
+            ctx.arbiter->raise(
                 make_fault_report(ctx.plan, ft::DetectClass::arrival_timeout,
-                                  a.channel, a.cycle, a.packet),
-                ctx.detect.abort_on_fault);
+                                  a.channel, a.cycle, a.packet));
         }
         return DeliverOutcome::skipped;
     }
     if (d.packet != a.packet || (check_seq && d.seq != a.seq)) [[unlikely]] {
         ++stats.channel_faults;
-        if (ctx.detecting) {
-            ctx.arbiter.raise(
+        if (ctx.arbiter != nullptr) {
+            ctx.arbiter->raise(
                 make_fault_report(ctx.plan, ft::DetectClass::stream_mismatch,
-                                  a.channel, a.cycle, a.packet),
-                ctx.detect.abort_on_fault);
+                                  a.channel, a.cycle, a.packet));
         }
         return DeliverOutcome::skipped;
     }
@@ -179,12 +178,10 @@ deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,
             ctx.copy_through ? simd::checksum(d.data, blk) : d.checksum;
         if (digest != ctx.expected_checksum[a.packet]) [[unlikely]] {
             ++stats.checksum_failures;
-            if (ctx.detecting) {
-                ctx.arbiter.raise(
-                    make_fault_report(ctx.plan,
-                                      ft::DetectClass::checksum_mismatch,
-                                      a.channel, a.cycle, a.packet),
-                    ctx.detect.abort_on_fault);
+            if (ctx.arbiter != nullptr) {
+                ctx.arbiter->raise(make_fault_report(
+                    ctx.plan, ft::DetectClass::checksum_mismatch, a.channel,
+                    a.cycle, a.packet));
             }
         }
         // Delivery proceeds even when flagged (mirrors real hardware: the
@@ -203,7 +200,7 @@ deliver_block(const RunContextT<Bank>& ctx, const ActionRef& a,
     ctx.channels.pop_front(a.channel);
     ++stats.blocks_delivered;
     if (ctx.trace != nullptr) {
-        ctx.trace->record(worker, TraceKind::recv, t0,
+        ctx.trace->record(0, TraceKind::recv, t0,
                           TraceRecorder::clock::now(), a.channel, a.packet,
                           a.cycle);
     }

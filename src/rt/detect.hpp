@@ -1,20 +1,19 @@
-// Shared fault-detection machinery of the two execution engines.
+// Fault detection on the executing engines: the AsyncPlayer's serial walk
+// in process, and net::NetPlayer over sockets.
 //
 // Detection turns the runtime's silent failure counters into the
-// structured abort the recovery layer needs: the first worker to observe a
-// failure claims the engine's single FaultReport slot (an exchange on one
-// atomic flag — first wins, every later claim is a no-op) and raises the
-// abort flag; every other worker polls the flag at its next natural
-// boundary and drains out without executing further payload work.
+// structured abort the recovery layer needs: the first failure claims the
+// engine's single FaultReport slot (every later claim is a no-op), and the
+// engine stops at its next action instead of executing further payload
+// work.
 //
-// The bounded arrival wait exploits an engine invariant: by the time a pop
-// runs, any block that *was* published on its channel is already visible
-// (the barrier Player separates phases with a full barrier; the AsyncPlayer
-// runs every push of a cycle before its pops on one thread).
-// An empty channel at pop time therefore means the block is never coming —
-// the wait exists to give injected *delays* (which stall the producer
-// before publication) room to land, and to put a hard bound on how long a
-// dead link can stall a run.
+// A missing block is detected differently per medium. The serial walk runs
+// every send of a cycle before its receives, on one thread, and an injected
+// delay sleeps in the producer before it publishes — so an empty ring at
+// pop time means the block is lost, and waiting cannot bring it: the pop
+// reports it at once. A socket bank is fed by an I/O thread that can still
+// publish after a wire crossing and its retransmits, so only there does a
+// pop wait, bounded (await_front, ft::DetectConfig).
 #pragma once
 
 #include "ft/fault_model.hpp"
@@ -22,7 +21,6 @@
 #include "rt/channel.hpp"
 #include "rt/plan.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <span>
 #include <string>
@@ -47,57 +45,43 @@ make_fault_report(const Plan& plan, ft::DetectClass cls,
     return report;
 }
 
-/// First-wins fault report slot plus the abort flag the workers poll.
-/// reset() between runs; raise() from any worker; report() after join.
+/// First-wins fault report slot; a claimed report is the abort flag the
+/// engine polls. Both detecting engines run one thread per play, so the
+/// slot needs no synchronization. reset() between runs.
 class FaultArbiter {
 public:
-    /// Only valid while no worker thread is active.
-    void reset() noexcept {
-        claimed_.store(false, std::memory_order_relaxed);
-        abort_.store(false, std::memory_order_relaxed);
-        report_ = {};
-    }
+    void reset() noexcept { report_ = {}; }
 
-    [[nodiscard]] bool aborted() const noexcept {
-        return abort_.load(std::memory_order_acquire);
-    }
+    [[nodiscard]] bool aborted() const noexcept { return report_.faulted(); }
 
-    /// Claims the report slot for `report` if no fault was claimed yet and
-    /// (if `abort` is set) raises the abort flag. The report fields are
-    /// written only by the winning claimer, before the abort release-store,
-    /// so the post-join reader sees them complete.
-    void raise(const ft::FaultReport& report, bool abort) noexcept {
-        if (claimed_.exchange(true, std::memory_order_acq_rel)) {
+    /// Claims the report slot for `report` unless a fault was already
+    /// claimed this run; the claim aborts the run.
+    void raise(const ft::FaultReport& report) noexcept {
+        if (aborted()) {
             return;
         }
         report_ = report;
-        // Winning claim only — one registry lookup per detected fault, off
+        // First claim only — one registry lookup per detected fault, off
         // the clean-run path entirely.
         obs::registry()
             .counter(std::string("ft.report.") + ft::to_string(report.cls))
             .inc();
-        if (abort) {
-            abort_.store(true, std::memory_order_release);
-        }
     }
 
-    /// The first claimed fault (cls == none if the run was clean). Only
-    /// valid after the workers have been joined.
+    /// The first claimed fault (cls == none if the run was clean).
     [[nodiscard]] const ft::FaultReport& report() const noexcept {
         return report_;
     }
 
 private:
-    std::atomic<bool> claimed_{false};
-    std::atomic<bool> abort_{false};
     ft::FaultReport report_{};
 };
 
 /// Polls `channels.front(channel)` until a descriptor appears, the arbiter
 /// aborts, or `timeout_us` elapses. Returns false on timeout/abort. The
-/// caller re-checks packet/seq itself. Generic over the channel backend
-/// (rt/transport.hpp): on the socket transport this is the wait that gives
-/// a wire crossing — and its ack-timeout retransmits — room to land.
+/// caller re-checks packet/seq itself. Only socket banks wait (see the
+/// header comment): this gives a wire crossing — and its ack-timeout
+/// retransmits — room to land.
 template <class Bank>
 [[nodiscard]] inline bool
 await_front(const Bank& channels, std::uint32_t channel,

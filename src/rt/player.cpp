@@ -21,9 +21,9 @@ struct alignas(64) WorkerStats {
 
 } // namespace
 
-Player::Player(const Plan& plan, std::uint32_t channel_capacity)
+Player::Player(const Plan& plan)
     : plan_(plan),
-      channels_(plan.channel_count, channel_capacity, plan.block_elems,
+      channels_(plan.channel_count, kRingDepth, plan.block_elems,
                 plan.mode == DataMode::combine),
       views_(static_cast<std::size_t>(plan.total_slots), nullptr) {
     const std::uint64_t bytes =
@@ -39,14 +39,8 @@ Player::Player(const Plan& plan, std::uint32_t channel_capacity)
 }
 
 void Player::prepare_views() {
-    copy_through_ =
-        plan_.mode == DataMode::combine || channels_.inline_active();
     const std::size_t blk = plan_.block_elems;
-    if (copy_through_) {
-        if (memory_.empty() && plan_.total_slots > 0) {
-            memory_.assign(static_cast<std::size_t>(plan_.total_slots) * blk,
-                           0.0);
-        }
+    if (plan_.mode == DataMode::combine) {
         seed_plan_memory(plan_, memory_);
         for (std::uint64_t s = 0; s < plan_.total_slots; ++s) {
             views_[static_cast<std::size_t>(s)] =
@@ -78,42 +72,32 @@ std::uint64_t Player::resident_bytes() const noexcept {
 
 void Player::run_worker(std::uint32_t worker, PlayStats& stats) {
     const std::uint32_t workers = plan_.workers;
-    const bool detecting = detect_.enabled();
-    const RunContext ctx{plan_,          channels_,
-                         views_.data(),  memory_.data(),
+    const RunContext ctx{plan_,
+                         channels_,
+                         views_.data(),
+                         memory_.data(),
                          plan_.arena_digests().data(),
-                         detect_,        arbiter_,
-                         trace_,         detecting,
-                         copy_through_};
+                         /*arbiter=*/nullptr,
+                         /*arrival_timeout_us=*/0,
+                         /*trace=*/nullptr,
+                         /*copy_through=*/plan_.mode == DataMode::combine};
     for (std::uint32_t cycle = 0; cycle < plan_.cycles; ++cycle) {
         const std::size_t bucket = std::size_t{cycle} * workers + worker;
-
-        // Aborted workers skip the payload work of every remaining cycle
-        // but still cross both barriers, so the workers drain in lockstep
-        // without a peer blocking on a phase nobody else entered.
-        if (!detecting || !arbiter_.aborted()) {
-            for (std::size_t i = plan_.send_begin[bucket];
-                 i < plan_.send_begin[bucket + 1]; ++i) {
-                const ActionFields a = plan_.bucket_send(i);
-                send_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
-                           worker, stats);
-            }
+        for (std::size_t i = plan_.send_begin[bucket];
+             i < plan_.send_begin[bucket + 1]; ++i) {
+            const ActionFields a = plan_.bucket_send(i);
+            send_block(ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
+                       stats);
         }
         // All of this cycle's blocks are on their links.
         barrier_->arrive_and_wait();
 
-        if (!detecting || !arbiter_.aborted()) {
-            for (std::size_t i = plan_.recv_begin[bucket];
-                 i < plan_.recv_begin[bucket + 1]; ++i) {
-                const ActionFields a = plan_.bucket_recv(i);
-                const DeliverOutcome out = deliver_block(
-                    ctx, {a.channel, a.slot, a.packet, a.seq, cycle},
-                    /*check_seq=*/false, worker, stats);
-                if (out == DeliverOutcome::drained ||
-                    (out == DeliverOutcome::skipped && arbiter_.aborted())) {
-                    break;
-                }
-            }
+        for (std::size_t i = plan_.recv_begin[bucket];
+             i < plan_.recv_begin[bucket + 1]; ++i) {
+            const ActionFields a = plan_.bucket_recv(i);
+            (void)deliver_block(ctx, {a.channel, a.slot, a.packet, a.seq,
+                                      cycle},
+                                /*check_seq=*/false, stats);
         }
         // All of this cycle's deliveries have landed; cycle c+1 may forward
         // them.
@@ -123,12 +107,7 @@ void Player::run_worker(std::uint32_t worker, PlayStats& stats) {
 
 PlayStats Player::play() {
     prepare_views();
-    channels_.reset(); // rewind sequence stamps from any aborted prior run
-    arbiter_.reset();
-    if (trace_ != nullptr) {
-        HCUBE_ENSURE_MSG(trace_->workers() >= plan_.workers,
-                         "trace recorder has fewer lanes than plan workers");
-    }
+    channels_.reset(); // rewind sequence stamps from any faulted prior run
 
     CycleBarrier barrier(plan_.workers);
     barrier_ = &barrier;
@@ -165,12 +144,6 @@ PlayStats Player::play() {
     }
     total.payload_bytes =
         total.blocks_delivered * plan_.block_elems * sizeof(double);
-
-    // Abort salvage: if a detector tripped mid-run and the recorder is
-    // armed, land the partial timeline before the caller unwinds.
-    if (trace_ != nullptr && arbiter_.aborted()) {
-        trace_->flush_abort();
-    }
 
     // One-time aggregate adds after the run — the per-block hot path stays
     // untouched (docs/OBSERVABILITY.md § Overhead).

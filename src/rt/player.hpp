@@ -1,34 +1,29 @@
 // Executes a compiled Plan as real data movement on plan.workers threads —
-// the runtime's reference oracle.
+// the runtime's fault-free reference oracle. The AsyncPlayer's serial walk
+// executes every production play (and detects its faults); this engine
+// only checks it.
 //
-// Each worker owns a contiguous range of cube nodes. Execution is
-// cycle-synchronous: during cycle c every worker first pushes its nodes'
-// scheduled blocks into the outgoing link channels (send phase), all
-// workers cross a barrier, then each drains its nodes' incoming channels
-// (receive phase) — verifying each delivered block's checksum in move mode
-// or accumulating it elementwise in combine mode — and all cross a barrier
-// again. The two barriers per cycle realize the paper's synchronized
-// routing steps: a block pushed in cycle c is consumed in cycle c and
-// forwardable from cycle c+1, exactly the store-and-forward rule the cycle
-// simulator validates. Consequently the number of cycles the player
-// executes equals the CycleExecutor makespan of the same schedule.
+// Each worker owns a contiguous range of cube nodes (the plan's
+// workers/node_owner bucket partition, the same one net::NetPlayer walks
+// per rank). Execution is cycle-synchronous: during cycle c every worker
+// first pushes its nodes' scheduled blocks into the outgoing link channels
+// (send phase), all workers cross a barrier, then each drains its nodes'
+// incoming channels (receive phase) — verifying each delivered block's
+// checksum in move mode or accumulating it elementwise in combine mode —
+// and all cross a barrier again. The two barriers per cycle realize the
+// paper's synchronized routing steps: a block pushed in cycle c is consumed
+// in cycle c and forwardable from cycle c+1, exactly the store-and-forward
+// rule the cycle simulator validates. Consequently the number of cycles the
+// player executes equals the CycleExecutor makespan of the same schedule.
 //
 // Violations on worker threads (channel under/overflow, packet mismatch,
 // checksum mismatch) cannot throw across threads; they are counted in the
-// stats and surfaced by the caller. With detection enabled
-// (ft::DetectConfig, see rt/detect.hpp) the first violation is additionally
-// promoted into a structured ft::FaultReport — which directed link, which
-// logical cycle, which fault class — and the in-flight plan aborts and
-// drains: workers skip the remaining payload work but keep crossing every
-// barrier, so the workers retire without deadlock in a bounded number of
-// barrier hops.
+// stats, and a caller treats any nonzero count as a failed oracle run.
 #pragma once
 
 #include "ft/fault_model.hpp"
 #include "rt/channel.hpp"
-#include "rt/detect.hpp"
 #include "rt/plan.hpp"
-#include "rt/tracing.hpp"
 
 #include <cstdint>
 #include <span>
@@ -63,8 +58,9 @@ struct PlayStats {
     std::uint64_t checksum_failures = 0;
     std::uint64_t channel_faults = 0;  ///< full-on-push / empty-on-pop /
                                        ///< wrong packet or sequence at head
-    std::uint64_t timeouts = 0;        ///< bounded arrival waits that expired
-                                       ///< (detection enabled only)
+    std::uint64_t timeouts = 0;        ///< arrivals declared lost (detection
+                                       ///< armed only): an empty ring at
+                                       ///< pop, or an expired socket wait
     double seconds = 0;                ///< wall clock of the threaded region
     ExecMode mode = ExecMode::barrier; ///< how this run executed
     /// Medium the blocks moved over: the in-process ring bank, or the net
@@ -79,35 +75,15 @@ struct PlayStats {
 
 class Player {
 public:
-    /// Allocates node-local block memory and the channel bank for `plan`.
-    /// The plan must outlive the player.
-    explicit Player(const Plan& plan, std::uint32_t channel_capacity = 2);
-
-    /// Enables bounded-wait fault detection (and, per config, the
-    /// abort-and-drain path). Only valid between runs.
-    void set_detection(const ft::DetectConfig& detect) noexcept {
-        detect_ = detect;
-    }
-    /// Installs a fault-injection hook on the channel bank (nullptr
-    /// clears). Only valid between runs.
-    void set_fault_hook(ft::ChannelFaultHook* hook) noexcept {
-        channels_.set_fault_hook(hook);
-    }
-    /// Attaches a per-worker trace recorder sized for >= plan.workers
-    /// lanes (nullptr detaches). Only valid between runs.
-    void set_trace(TraceRecorder* trace) noexcept { trace_ = trace; }
+    /// Allocates the channel bank (and, for combine plans, slot memory)
+    /// for `plan`. The plan must outlive the player.
+    explicit Player(const Plan& plan);
 
     /// Seeds initial blocks, runs the full schedule on plan.workers
     /// threads (a one-worker plan runs on the calling thread), and returns
     /// the aggregated stats. Reusable: every call starts from freshly
     /// seeded memory and rewound channels.
     [[nodiscard]] PlayStats play();
-
-    /// The first fault the last play() detected (cls == none on a clean
-    /// run, or while detection is disabled).
-    [[nodiscard]] const ft::FaultReport& fault_report() const noexcept {
-        return arbiter_.report();
-    }
 
     /// Post-run view of the block held by (node, packet); empty span if the
     /// node has no slot for the packet.
@@ -126,31 +102,31 @@ public:
     }
 
     /// Exact heap bytes this engine keeps resident between runs (channel
-    /// rings, slot views, copy-through storage) — what a
+    /// rings, slot views, combine storage) — what a
     /// byte-budgeted cache charges for keeping the player warm. The plan
     /// itself is accounted separately by Plan::resident_bytes().
     [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
 
 private:
+    /// Ring slots per link. The port model allows one block per directed
+    /// link per cycle (compile_plan rejects more), and the receive phase
+    /// drains it in the same cycle, so one slot is exact.
+    static constexpr std::uint32_t kRingDepth = 1;
+
     void run_worker(std::uint32_t worker, PlayStats& stats);
     void prepare_views();
 
     const Plan& plan_;
     CycleBarrier* barrier_ = nullptr; ///< non-null only inside play()
     ChannelBank channels_;
-    /// Per slot: the block the (node, packet) currently holds. On the
-    /// zero-copy path these point into the plan's immutable arena; under
-    /// copy-through they point into memory_.
+    /// Per slot: the block the (node, packet) currently holds. Move plans
+    /// point these into the plan's immutable arena; combine plans into
+    /// memory_.
     std::vector<const double*> views_;
-    /// Copy-through slot storage (total_slots x block_elems doubles).
-    /// Allocated eagerly for combine plans, lazily for move plans on the
-    /// first copy-through run (fault hook installed) — a pure zero-copy
-    /// player never materializes it.
+    /// Combine plans only: slot storage (total_slots x block_elems
+    /// doubles) the partial sums accumulate in. Move plans run zero-copy
+    /// and never allocate it.
     std::vector<double> memory_;
-    bool copy_through_ = false; ///< decided per run in prepare_views()
-    ft::DetectConfig detect_{};
-    FaultArbiter arbiter_;
-    TraceRecorder* trace_ = nullptr;
 };
 
 } // namespace hcube::rt

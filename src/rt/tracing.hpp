@@ -12,9 +12,9 @@
 // ("ph":"X") event object with ts/dur in microseconds, tid = worker and a
 // caller-chosen pid, which is exactly the subset of the Trace Event Format
 // that chrome://tracing and Perfetto render as a per-worker timeline.
-// Multiple runs (e.g. the barrier and async engines back to back, or the
-// attempts of a fault-recovery sequence) can share one recorder epoch and
-// land in one timeline.
+// Multiple runs (e.g. the attempts of a fault-recovery sequence) can share
+// one recorder epoch and land in one timeline. The AsyncPlayer's serial
+// walk, the only engine that traces, records on lane 0.
 #pragma once
 
 #include "common/json.hpp"

@@ -225,11 +225,11 @@ struct Session::PlanEntry {
     std::uint64_t send_count = 0; ///< gen.exec.sends.size()
     std::uint32_t makespan = 0;   ///< sim_stats.makespan
     std::unique_ptr<rt::Plan> plan;
-    /// Barrier engine: the executor under Engine::barrier; under
-    /// Engine::async the oracle, dropped after the first verified pass
-    /// when Verify::first no longer needs it.
-    std::unique_ptr<rt::Player> barrier;
-    std::unique_ptr<rt::AsyncPlayer> async; ///< executor, Engine::async
+    /// The barrier Player, only as the Verify oracle: dropped after the
+    /// first verified pass when Verify::first no longer needs it, never
+    /// built under Verify::never.
+    std::unique_ptr<rt::Player> oracle;
+    std::unique_ptr<rt::AsyncPlayer> async; ///< the executor
     /// Oracle image of the first verified run — combine mode only. Move
     /// mode stores no image (it would duplicate the plan's immutable
     /// arena); steady runs re-derive it and check oracle_fingerprint.
@@ -250,12 +250,9 @@ struct Session::PlanEntry {
     /// needed them), the combine-mode oracle image, and the full-check
     /// state while it is held.
     [[nodiscard]] std::uint64_t resident_bytes() const {
-        std::uint64_t bytes = plan->resident_bytes();
-        if (async != nullptr) {
-            bytes += async->resident_bytes();
-        }
-        if (barrier != nullptr) {
-            bytes += barrier->resident_bytes();
+        std::uint64_t bytes = plan->resident_bytes() + async->resident_bytes();
+        if (oracle != nullptr) {
+            bytes += oracle->resident_bytes();
         }
         bytes += std::uint64_t{oracle_image.capacity()} * sizeof(double);
         bytes += std::uint64_t{members.capacity()} * sizeof(node_t);
@@ -358,14 +355,9 @@ Session::entry_for(const Signature& sig, const mbr::View& sub,
             rt::compile_plan(e->gen.exec, e->gen.mode, sig.block_elems,
                              /*workers=*/1, /*async_depth=*/1,
                              rt::PlanLayout::automatic, e->members));
-        if (params_.engine == rt::Engine::async) {
-            e->async = std::make_unique<rt::AsyncPlayer>(*e->plan);
-        }
-        if (params_.engine == rt::Engine::barrier ||
-            params_.verify != rt::Verify::never) {
-            e->barrier =
-                std::make_unique<rt::Player>(*e->plan,
-                                             params_.channel_capacity);
+        e->async = std::make_unique<rt::AsyncPlayer>(*e->plan);
+        if (params_.verify != rt::Verify::never) {
+            e->oracle = std::make_unique<rt::Player>(*e->plan);
         }
         e->charged_bytes = e->resident_bytes();
         return e;
@@ -421,9 +413,9 @@ ExecStats Session::execute(const Signature& sig) {
     const bool full_check =
         params_.verify == rt::Verify::always ||
         (params_.verify == rt::Verify::first && !entry->image_valid);
-    out.oracle_checked = full_check && entry->barrier != nullptr;
+    out.oracle_checked = full_check && entry->oracle != nullptr;
 
-    const auto structural_checks = [&](const auto& player,
+    const auto structural_checks = [&](const rt::AsyncPlayer& player,
                                        const rt::PlayStats& stats) {
         bool ok =
             stats.clean() && stats.blocks_delivered == entry->send_count;
@@ -457,61 +449,36 @@ ExecStats Session::execute(const Signature& sig) {
     };
 
     bool ok = true;
-    if (params_.engine == rt::Engine::barrier) {
-        const rt::PlayStats stats = entry->barrier->play();
-        // The barrier engine is its own oracle: its barriered cycle count
-        // must equal the cycle-model makespan.
-        ok = stats.cycles == entry->makespan &&
-             structural_checks(*entry->barrier, stats);
-        out.rt_cycles = stats.cycles;
-        out.blocks_delivered = stats.blocks_delivered;
-        out.payload_bytes = stats.payload_bytes;
-        out.bytes_copied = stats.bytes_copied;
-        out.exec_mode = stats.mode;
-        out.transport = stats.transport;
-        out.seconds = stats.seconds;
-        if (ok && full_check && !entry->image_valid) {
-            if (combining) {
-                entry->oracle_image = snapshot_memory(plan, *entry->barrier);
-            } else {
-                entry->oracle_fingerprint = arena_fingerprint(plan);
-            }
-            entry->image_valid = true;
+    if (out.oracle_checked) {
+        const rt::PlayStats ref_stats = entry->oracle->play();
+        ok = ref_stats.clean() &&
+             ref_stats.blocks_delivered == entry->send_count &&
+             ref_stats.cycles == entry->makespan;
+    }
+    const rt::PlayStats stats = entry->async->play();
+    ok = ok && structural_checks(*entry->async, stats);
+    if (out.oracle_checked) {
+        ok = ok && rt::identical_memory(plan, *entry->oracle, *entry->async);
+    }
+    out.rt_cycles = stats.cycles;
+    out.blocks_delivered = stats.blocks_delivered;
+    out.payload_bytes = stats.payload_bytes;
+    out.bytes_copied = stats.bytes_copied;
+    out.exec_mode = stats.mode;
+    out.transport = stats.transport;
+    out.seconds = stats.seconds;
+    if (ok && full_check && !entry->image_valid) {
+        if (combining) {
+            entry->oracle_image = snapshot_memory(plan, *entry->async);
+        } else {
+            entry->oracle_fingerprint = arena_fingerprint(plan);
         }
-    } else {
-        rt::PlayStats ref_stats;
-        if (full_check && entry->barrier != nullptr) {
-            ref_stats = entry->barrier->play();
-            ok = ref_stats.clean() &&
-                 ref_stats.blocks_delivered == entry->send_count &&
-                 ref_stats.cycles == entry->makespan;
-        }
-        const rt::PlayStats stats = entry->async->play();
-        ok = ok && structural_checks(*entry->async, stats);
-        if (full_check && entry->barrier != nullptr) {
-            ok = ok &&
-                 rt::identical_memory(plan, *entry->barrier, *entry->async);
-        }
-        out.rt_cycles = stats.cycles;
-        out.blocks_delivered = stats.blocks_delivered;
-        out.payload_bytes = stats.payload_bytes;
-        out.bytes_copied = stats.bytes_copied;
-        out.exec_mode = stats.mode;
-        out.transport = stats.transport;
-        out.seconds = stats.seconds;
-        if (ok && full_check && !entry->image_valid) {
-            if (combining) {
-                entry->oracle_image = snapshot_memory(plan, *entry->async);
-            } else {
-                entry->oracle_fingerprint = arena_fingerprint(plan);
-            }
-            entry->image_valid = true;
-            if (params_.verify == rt::Verify::first) {
-                // Steady state never re-runs the oracle or a full check;
-                // free their memory.
-                entry->barrier.reset();
-                entry->release_full_check_state();
-            }
+        entry->image_valid = true;
+        if (params_.verify == rt::Verify::first) {
+            // Steady state never re-runs the oracle or a full check;
+            // free their memory.
+            entry->oracle.reset();
+            entry->release_full_check_state();
         }
     }
     out.verified = ok;

@@ -5,9 +5,9 @@
 //
 // Where rt::Communicator recompiles the schedule and reallocates player
 // memory on every call, the Session caches the *compiled plan and its
-// players*: a cache hit replays the resident AsyncPlayer (or barrier
-// Player) on the calling thread, touching no allocator and no schedule
-// generator. Every plan compiles for one worker, so every play is the
+// players*: a cache hit replays the resident AsyncPlayer on the calling
+// thread, touching no allocator and no schedule generator (the barrier
+// Player is only the first pass's oracle). Every plan compiles for one worker, so every play is the
 // serial lowered-order walk: a zero-copy hop is a pointer assignment, and
 // a single collective has no per-hop work worth splitting across threads.
 // Concurrency lives at the request level instead — distinct signatures
@@ -24,7 +24,7 @@
 #include "common/lru_cache.hpp"
 #include "mbr/view.hpp"
 #include "model/broadcast_model.hpp"
-#include "rt/communicator.hpp" // Engine, Verify
+#include "rt/communicator.hpp" // Verify
 #include "rt/plan.hpp"
 #include "svc/rejection.hpp"
 #include "svc/selector.hpp"
@@ -50,15 +50,11 @@ struct SessionParams {
     /// few large ones under one bound. 0 (the default) preserves the
     /// entry-count behavior of plan_cache_capacity.
     std::uint64_t plan_cache_bytes = 0;
-    /// Engine whose stats ExecStats reports.
-    rt::Engine engine = rt::Engine::async;
     /// Oracle policy. `first` (the service default) fully oracle-checks
     /// each signature's first execution and byte-compares repeats against
     /// the snapshotted oracle image; `always` re-runs the oracle every
     /// time; `never` skips it entirely (checksums + holdings only).
     rt::Verify verify = rt::Verify::first;
-    /// Ring slots per link channel for the barrier engine.
-    std::uint32_t channel_capacity = 2;
     /// Port model schedules are generated for and validated under.
     sim::PortModel model = sim::PortModel::one_port_full_duplex;
     /// Machine constants for the AlgorithmSelector. Unset → calibrated at
@@ -77,11 +73,10 @@ struct ExecStats {
     std::uint32_t sim_makespan = 0;
     std::uint64_t blocks_delivered = 0;
     std::uint64_t payload_bytes = 0;
-    /// Payload bytes the reported engine memcpy'd (0 on the zero-copy
-    /// delivery path; nonzero under copy-through — combine plans or
-    /// fault-hooked runs).
+    /// Payload bytes the serial walk memcpy'd (0 on the zero-copy
+    /// delivery path; nonzero under copy-through — combine plans).
     std::uint64_t bytes_copied = 0;
-    /// How the reported engine executed (barrier / serial).
+    /// How the play executed: the serial walk on every in-process play.
     rt::ExecMode exec_mode = rt::ExecMode::barrier;
     /// Medium the blocks moved over (always ring for an in-process
     /// session; netd reports its serving endpoint's transport instead).
@@ -91,7 +86,7 @@ struct ExecStats {
     /// delivery matrix full checks read until Verify::first's steady state
     /// drops them) — the cost the byte-budgeted cache charges it.
     std::uint64_t plan_resident_bytes = 0;
-    double seconds = 0; ///< wall clock of the reported engine's play()
+    double seconds = 0; ///< wall clock of the serial walk's play()
     /// Member-set epoch the plan was keyed on (the signature sub-cube's
     /// epoch at execution time).
     std::uint64_t view_epoch = 0;

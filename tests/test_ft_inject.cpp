@@ -1,25 +1,26 @@
 // The inject → detect legs of hcube::ft: a FaultPlan armed on a compiled
-// plan's channels must surface through each engine exactly as designed —
-// kills and drops as bounded-wait arrival timeouts (or stream mismatches on
-// the async engine, where the ring head may already show a later block),
-// corruption as a checksum mismatch, delays absorbed silently — and the
-// first detected fault must name the injected directed link in its
-// structured FaultReport.
+// plan's channels must surface through the serial walk exactly as
+// designed — kills and drops as arrival timeouts reported at the first
+// empty ring, with no wait; corruption as a checksum mismatch; delays
+// absorbed silently — and the first detected fault must name the injected
+// directed link and the cycle of the lost receive in its structured
+// FaultReport.
 #include "ft/fault_model.hpp"
 #include "ft/injector.hpp"
 
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "trees/sbt.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
 namespace hcube::ft {
 namespace {
@@ -56,6 +57,21 @@ DirectedLink busy_link(const Schedule& s, std::uint32_t& count) {
     }
     ADD_FAILURE() << "no link carries two blocks";
     return {};
+}
+
+/// The schedule cycle of the k-th block sent across `link` — the cycle of
+/// the receive that finds it missing when push k is lost (a link carries
+/// at most one block per cycle).
+std::uint32_t cycle_of_push(const Schedule& s, DirectedLink link,
+                            std::uint32_t k) {
+    std::vector<std::uint32_t> cycles;
+    for (const sim::ScheduledSend& send : s.sends) {
+        if (send.from == link.from && send.to == link.to) {
+            cycles.push_back(send.cycle);
+        }
+    }
+    std::ranges::sort(cycles);
+    return cycles.at(k);
 }
 
 TEST(FtFaultPlan, FluentBuildersFillSpecs) {
@@ -114,7 +130,7 @@ TEST(FtFaultPlan, RandomIsDeterministicOnDistinctCubeLinks) {
     EXPECT_EQ(classes.size(), 4u);
 }
 
-TEST(FtInject, KillLinkTimesOutOnBarrierEngine) {
+TEST(FtInject, KillLinkTimesOutOnSerialWalk) {
     const Schedule schedule = sbt_broadcast(4, 0, 6);
     const rt::Plan plan =
         rt::compile_plan(schedule, rt::DataMode::move, 16, 2);
@@ -127,22 +143,58 @@ TEST(FtInject, KillLinkTimesOutOnBarrierEngine) {
     injector.arm(plan);
     EXPECT_EQ(injector.unmatched(), 0u);
 
-    rt::Player player(plan);
-    player.set_detection(
-        {.arrival_timeout_us = 1000, .abort_on_fault = true});
+    rt::AsyncPlayer player(plan);
+    player.set_detection(true);
     player.set_fault_hook(&injector);
     const rt::PlayStats stats = player.play();
 
     EXPECT_FALSE(stats.clean());
-    EXPECT_GE(stats.timeouts, 1u);
+    EXPECT_EQ(stats.timeouts, 1u);
     EXPECT_GE(injector.dropped(), 1u);
     const FaultReport& report = player.fault_report();
-    // The barrier engine runs in lockstep, so the kill can only manifest
-    // as the receiver's bounded wait expiring — on the killed link.
+    // Every earlier block on the link was drained in its own cycle, so the
+    // kill can only manifest as the receive finding its ring empty — on
+    // the killed link, in the cycle of the first lost push.
     EXPECT_EQ(report.cls, DetectClass::arrival_timeout);
     EXPECT_EQ(report.from, dead.from);
     EXPECT_EQ(report.to, dead.to);
-    EXPECT_LT(report.cycle, plan.cycles);
+    EXPECT_EQ(report.cycle, cycle_of_push(schedule, dead, count / 2));
+}
+
+TEST(FtInject, SerialWalkReportsALostBlockWithoutWaiting) {
+    // Every send of a cycle runs before its receives on the walk's one
+    // thread, so an empty ring is a lost block and the report comes at
+    // once. A bounded arrival wait would cost its full timeout (2 ms by
+    // default before the ring stopped waiting) on every play.
+    const Schedule schedule = sbt_broadcast(3, 0, 4);
+    const rt::Plan plan =
+        rt::compile_plan(schedule, rt::DataMode::move, 16, 1);
+
+    std::uint32_t count = 0;
+    const DirectedLink dead = busy_link(schedule, count);
+    FaultPlan faults;
+    faults.kill_link(dead.from, dead.to, count / 2);
+    FaultInjector injector(faults);
+    injector.arm(plan);
+
+    rt::AsyncPlayer player(plan);
+    player.set_detection(true);
+    player.set_fault_hook(&injector);
+    double best = 1e300;
+    for (int rep = 0; rep < 5; ++rep) {
+        injector.rewind();
+        const rt::PlayStats stats = player.play();
+        ASSERT_FALSE(stats.clean());
+        const FaultReport& report = player.fault_report();
+        ASSERT_EQ(report.cls, DetectClass::arrival_timeout);
+        ASSERT_EQ(report.from, dead.from);
+        ASSERT_EQ(report.to, dead.to);
+        ASSERT_EQ(report.cycle, cycle_of_push(schedule, dead, count / 2));
+        best = std::min(best, stats.seconds);
+    }
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+    EXPECT_LT(best, 1e-3);
+#endif
 }
 
 TEST(FtInject, CorruptionReportsChecksumMismatchWithLinkIdentity) {
@@ -157,9 +209,8 @@ TEST(FtInject, CorruptionReportsChecksumMismatchWithLinkIdentity) {
     FaultInjector injector(faults);
     injector.arm(plan);
 
-    rt::Player player(plan);
-    player.set_detection(
-        {.arrival_timeout_us = 1000, .abort_on_fault = true});
+    rt::AsyncPlayer player(plan);
+    player.set_detection(true);
     player.set_fault_hook(&injector);
     const rt::PlayStats stats = player.play();
 
@@ -170,9 +221,12 @@ TEST(FtInject, CorruptionReportsChecksumMismatchWithLinkIdentity) {
     EXPECT_EQ(report.cls, DetectClass::checksum_mismatch);
     EXPECT_EQ(report.from, target.from);
     EXPECT_EQ(report.to, target.to);
+    EXPECT_EQ(report.cycle, cycle_of_push(schedule, target, count / 2));
 }
 
-TEST(FtInject, DelayWithinTimeoutIsAbsorbedByBothEngines) {
+TEST(FtInject, DelayIsAbsorbedByTheSerialWalk) {
+    // An injected delay sleeps in the producer before it publishes, so the
+    // block is on its ring by the time the receive pops it: no fault.
     const Schedule schedule = sbt_broadcast(3, 0, 4);
     const rt::Plan plan =
         rt::compile_plan(schedule, rt::DataMode::move, 16, 2);
@@ -182,32 +236,16 @@ TEST(FtInject, DelayWithinTimeoutIsAbsorbedByBothEngines) {
     FaultPlan faults;
     faults.delay(slow.from, slow.to, 0, 200, 2);
 
-    {
-        FaultInjector injector(faults);
-        injector.arm(plan);
-        rt::Player player(plan);
-        player.set_detection(
-            {.arrival_timeout_us = 50000, .abort_on_fault = true});
-        player.set_fault_hook(&injector);
-        const rt::PlayStats stats = player.play();
-        EXPECT_TRUE(stats.clean());
-        EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
-        EXPECT_EQ(injector.delayed(), 2u);
-        EXPECT_FALSE(player.fault_report().faulted());
-    }
-    {
-        FaultInjector injector(faults);
-        injector.arm(plan);
-        rt::AsyncPlayer player(plan);
-        player.set_detection(
-            {.arrival_timeout_us = 50000, .abort_on_fault = true});
-        player.set_fault_hook(&injector);
-        const rt::PlayStats stats = player.play();
-        EXPECT_TRUE(stats.clean());
-        EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
-        EXPECT_EQ(injector.delayed(), 2u);
-        EXPECT_FALSE(player.fault_report().faulted());
-    }
+    FaultInjector injector(faults);
+    injector.arm(plan);
+    rt::AsyncPlayer player(plan);
+    player.set_detection(true);
+    player.set_fault_hook(&injector);
+    const rt::PlayStats stats = player.play();
+    EXPECT_TRUE(stats.clean());
+    EXPECT_EQ(stats.blocks_delivered, schedule.sends.size());
+    EXPECT_EQ(injector.delayed(), 2u);
+    EXPECT_FALSE(player.fault_report().faulted());
 }
 
 TEST(FtInject, FaultOnUnusedLinkStaysInert) {
@@ -223,9 +261,8 @@ TEST(FtInject, FaultOnUnusedLinkStaysInert) {
     injector.arm(plan);
     EXPECT_EQ(injector.unmatched(), 1u);
 
-    rt::Player player(plan);
-    player.set_detection(
-        {.arrival_timeout_us = 1000, .abort_on_fault = true});
+    rt::AsyncPlayer player(plan);
+    player.set_detection(true);
     player.set_fault_hook(&injector);
     const rt::PlayStats stats = player.play();
     EXPECT_TRUE(stats.clean());
@@ -246,9 +283,9 @@ TEST(FtInject, DisabledDetectionKeepsLegacyCountersOnly) {
     FaultInjector injector(faults);
     injector.arm(plan);
 
-    // No set_detection: the run must not block on a bounded wait and must
-    // keep the pre-ft contract — count the faults, never abort, no report.
-    rt::Player player(plan);
+    // Detection not armed: the walk keeps the pre-ft contract — count the
+    // faults, never abort, no report.
+    rt::AsyncPlayer player(plan);
     player.set_fault_hook(&injector);
     const rt::PlayStats stats = player.play();
     EXPECT_FALSE(stats.clean());
@@ -271,21 +308,19 @@ TEST(FtInject, AsyncEngineNamesTheDroppedLink) {
     EXPECT_EQ(injector.unmatched(), 0u);
 
     rt::AsyncPlayer player(plan);
-    player.set_detection(
-        {.arrival_timeout_us = 1000, .abort_on_fault = true});
+    player.set_detection(true);
     player.set_fault_hook(&injector);
     const rt::PlayStats stats = player.play();
 
     EXPECT_FALSE(stats.clean());
     EXPECT_EQ(injector.dropped(), 1u);
     const FaultReport& report = player.fault_report();
-    // The async ring head may already show the next publication when the
-    // receive runs, so the drop manifests as either detection class — but
-    // it must always be pinned to the injected link.
-    EXPECT_TRUE(report.cls == DetectClass::arrival_timeout ||
-                report.cls == DetectClass::stream_mismatch);
+    // The walk stops at the first empty ring, before the link's next push
+    // could reach the ring head: the drop is always an arrival timeout.
+    EXPECT_EQ(report.cls, DetectClass::arrival_timeout);
     EXPECT_EQ(report.from, dead.from);
     EXPECT_EQ(report.to, dead.to);
+    EXPECT_EQ(report.cycle, cycle_of_push(schedule, dead, count / 2));
 }
 
 TEST(FtInject, RewindRearmsTheSameTransientFault) {
@@ -300,9 +335,8 @@ TEST(FtInject, RewindRearmsTheSameTransientFault) {
     FaultInjector injector(faults);
     injector.arm(plan);
 
-    rt::Player player(plan);
-    player.set_detection(
-        {.arrival_timeout_us = 1000, .abort_on_fault = true});
+    rt::AsyncPlayer player(plan);
+    player.set_detection(true);
     player.set_fault_hook(&injector);
 
     // Idempotent re-execution: the logical push counters rewind, so the

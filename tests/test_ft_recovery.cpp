@@ -1,8 +1,8 @@
 // The recover leg of hcube::ft, closed-loop and differential: every
 // single-link kill injected mid-broadcast / mid-scatter must be detected,
-// replanned around, and re-executed to a final memory byte-identical to the
-// fault-free oracle — on both engines, for every directed link the initial
-// schedule uses, across n = 3..8 (stride-sampled at the largest sizes and
+// replanned around, and re-executed on the serial walk to a final memory
+// byte-identical to the fault-free oracle, for every directed link the
+// initial schedule uses, across n = 3..8 (stride-sampled at the largest sizes and
 // under sanitizers; the sampling offset varies by n so repeated CI runs of
 // the matrix cover different links).
 //
@@ -49,13 +49,9 @@ std::size_t fault_budget(dim_t n) {
 #endif
 }
 
-ResilientParams params_for(rt::Engine engine) {
+ResilientParams small_params() {
     ResilientParams p;
     p.block_elems = 16;
-    p.engine = engine;
-    // Tight by design: a published block is always visible by pop time, so
-    // the bound only ever expires on genuinely missing blocks.
-    p.detect.arrival_timeout_us = 500;
     return p;
 }
 
@@ -77,6 +73,20 @@ std::vector<LinkUse> links_used(const Schedule& s) {
         out.push_back({{link.first, link.second}, pushes});
     }
     return out;
+}
+
+/// The schedule cycle of the k-th block sent across `link` — where the
+/// serial walk reports push k lost (a link carries one block per cycle).
+std::uint32_t cycle_of_push(const Schedule& s, DirectedLink link,
+                            std::uint32_t k) {
+    std::vector<std::uint32_t> cycles;
+    for (const sim::ScheduledSend& send : s.sends) {
+        if (send.from == link.from && send.to == link.to) {
+            cycles.push_back(send.cycle);
+        }
+    }
+    std::ranges::sort(cycles);
+    return cycles.at(k);
 }
 
 enum class Op { bcast_sbt, bcast_msbt, scatter_sbt };
@@ -109,7 +119,7 @@ RecoveryResult run_op(ResilientComm& comm, Op op, node_t root,
 }
 
 /// Kills every (sampled) link of the op's schedule mid-stream, one run per
-/// link, on both engines, and demands byte-identical recovery each time.
+/// link, and demands byte-identical recovery each time.
 void sweep_single_link_kills(Op op, dim_t n, node_t root, packet_t count) {
     const Schedule initial = initial_schedule(op, n, root, count);
     const std::vector<LinkUse> links = links_used(initial);
@@ -119,51 +129,51 @@ void sweep_single_link_kills(Op op, dim_t n, node_t root, packet_t count) {
         budget == kAll ? 1 : std::max<std::size_t>(1, links.size() / budget);
     const std::size_t first = static_cast<std::size_t>(n) % stride;
 
-    for (const rt::Engine engine :
-         {rt::Engine::barrier, rt::Engine::async}) {
-        ResilientComm comm(n, params_for(engine));
-        for (std::size_t i = first; i < links.size(); i += stride) {
-            const DirectedLink dead = links[i].link;
-            FaultPlan faults;
-            faults.kill_link(dead.from, dead.to, links[i].pushes / 2);
+    ResilientComm comm(n, small_params());
+    for (std::size_t i = first; i < links.size(); i += stride) {
+        const DirectedLink dead = links[i].link;
+        FaultPlan faults;
+        faults.kill_link(dead.from, dead.to, links[i].pushes / 2);
 
-            const RecoveryResult r = run_op(comm, op, root, count, faults);
-            const auto where = [&] {
-                return std::string(" engine=") +
-                       std::string(to_string(engine)) + " n=" +
-                       std::to_string(n) + " dead=" +
-                       std::to_string(dead.from) + "->" +
-                       std::to_string(dead.to);
-            };
-            ASSERT_TRUE(r.delivered) << where();
-            EXPECT_TRUE(r.recovered) << where();
-            EXPECT_EQ(r.attempts, 2u) << where();
-            ASSERT_EQ(r.reports.size(), 1u) << where();
-            EXPECT_EQ(r.reports[0].from, dead.from) << where();
-            EXPECT_EQ(r.reports[0].to, dead.to) << where();
-            ASSERT_EQ(r.dead_links.size(), 1u) << where();
-            EXPECT_EQ(r.dead_links[0], dead) << where();
-            EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead))
-                << where();
-            EXPECT_TRUE(r.stats.clean()) << where();
-            EXPECT_EQ(r.stats.blocks_delivered,
-                      r.final_schedule.sends.size())
-                << where();
+        const RecoveryResult r = run_op(comm, op, root, count, faults);
+        const auto where = [&] {
+            return " n=" + std::to_string(n) + " dead=" +
+                   std::to_string(dead.from) + "->" +
+                   std::to_string(dead.to);
+        };
+        ASSERT_TRUE(r.delivered) << where();
+        EXPECT_TRUE(r.recovered) << where();
+        EXPECT_EQ(r.attempts, 2u) << where();
+        ASSERT_EQ(r.reports.size(), 1u) << where();
+        EXPECT_EQ(r.reports[0].cls, DetectClass::arrival_timeout)
+            << where();
+        EXPECT_EQ(r.reports[0].from, dead.from) << where();
+        EXPECT_EQ(r.reports[0].to, dead.to) << where();
+        EXPECT_EQ(r.reports[0].cycle,
+                  cycle_of_push(initial, dead, links[i].pushes / 2))
+            << where();
+        ASSERT_EQ(r.dead_links.size(), 1u) << where();
+        EXPECT_EQ(r.dead_links[0], dead) << where();
+        EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead))
+            << where();
+        EXPECT_TRUE(r.stats.clean()) << where();
+        EXPECT_EQ(r.stats.blocks_delivered,
+                  r.final_schedule.sends.size())
+            << where();
 
-            if (op == Op::bcast_msbt) {
-                // The survivor-subset argument, checked edge by edge: the
-                // dead link's ERSBT was dropped, and every send of the
-                // degraded schedule belongs to a surviving tree.
-                const dim_t gone = ersbt_using_link(n, root, dead);
-                ASSERT_EQ(r.dropped_trees.size(), 1u) << where();
-                EXPECT_EQ(r.dropped_trees[0], gone) << where();
-                for (const sim::ScheduledSend& send :
-                     r.final_schedule.sends) {
-                    EXPECT_NE(ersbt_using_link(n, root,
-                                               {send.from, send.to}),
-                              gone)
-                        << where();
-                }
+        if (op == Op::bcast_msbt) {
+            // The survivor-subset argument, checked edge by edge: the
+            // dead link's ERSBT was dropped, and every send of the
+            // degraded schedule belongs to a surviving tree.
+            const dim_t gone = ersbt_using_link(n, root, dead);
+            ASSERT_EQ(r.dropped_trees.size(), 1u) << where();
+            EXPECT_EQ(r.dropped_trees[0], gone) << where();
+            for (const sim::ScheduledSend& send :
+                 r.final_schedule.sends) {
+                EXPECT_NE(ersbt_using_link(n, root,
+                                           {send.from, send.to}),
+                          gone)
+                    << where();
             }
         }
     }
@@ -271,7 +281,7 @@ TEST(FtRecovery, NoSurvivingTreeThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-loop differential sweeps (oracle-verified, both engines)
+// Closed-loop differential sweeps (oracle-verified, serial walk)
 // ---------------------------------------------------------------------------
 
 TEST(FtRecoverySbtBroadcast, HealsEveryLinkN3) {
@@ -343,7 +353,7 @@ TEST(FtRecovery, CorruptionTriggersTheSameReplanLoop) {
 
     FaultPlan faults;
     faults.corrupt(target.from, target.to, 1);
-    ResilientComm comm(n, params_for(rt::Engine::barrier));
+    ResilientComm comm(n, small_params());
     const RecoveryResult r = comm.broadcast_sbt(0, 4, faults);
     ASSERT_TRUE(r.delivered);
     EXPECT_TRUE(r.recovered);
@@ -369,22 +379,19 @@ TEST(FtRecovery, TwoDeadLinksHealOverThreeAttempts) {
     faults.kill_link(dead0.from, dead0.to, 0);
     faults.kill_link(dead1.from, dead1.to, 0);
 
-    for (const rt::Engine engine :
-         {rt::Engine::barrier, rt::Engine::async}) {
-        ResilientComm comm(n, params_for(engine));
-        const RecoveryResult r = comm.broadcast_msbt(root, packets, faults);
-        ASSERT_TRUE(r.delivered);
-        EXPECT_TRUE(r.recovered);
-        EXPECT_EQ(r.attempts, 3u);
-        ASSERT_EQ(r.dead_links.size(), 2u);
-        EXPECT_EQ(r.dropped_trees, (std::vector<dim_t>{0, 2}));
-        EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead0));
-        EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead1));
-    }
+    ResilientComm comm(n, small_params());
+    const RecoveryResult r = comm.broadcast_msbt(root, packets, faults);
+    ASSERT_TRUE(r.delivered);
+    EXPECT_TRUE(r.recovered);
+    EXPECT_EQ(r.attempts, 3u);
+    ASSERT_EQ(r.dead_links.size(), 2u);
+    EXPECT_EQ(r.dropped_trees, (std::vector<dim_t>{0, 2}));
+    EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead0));
+    EXPECT_FALSE(schedule_uses_link(r.final_schedule, dead1));
 }
 
 TEST(FtRecovery, InertFaultPlanFinishesFirstAttempt) {
-    ResilientComm comm(3, params_for(rt::Engine::async));
+    ResilientComm comm(3, small_params());
     // A fault on a link no broadcast from node 0 ever uses.
     FaultPlan faults;
     faults.kill_link(1, 0, 0);
@@ -396,7 +403,7 @@ TEST(FtRecovery, InertFaultPlanFinishesFirstAttempt) {
 }
 
 TEST(FtRecovery, OracleIsCachedAcrossASweep) {
-    ResilientComm comm(3, params_for(rt::Engine::barrier));
+    ResilientComm comm(3, small_params());
     FaultPlan none;
     const RecoveryResult first = comm.broadcast_sbt(0, 4, none);
     const RecoveryResult second = comm.broadcast_sbt(0, 4, none);

@@ -207,15 +207,20 @@ TEST(MbrSession, ExecuteThrowsStructuredRejection) {
 }
 
 TEST(MbrSession, BarrierEngineVerifiesIncompleteViewsToo) {
+    // The barrier oracle runs over the member-balanced plan of an
+    // incomplete view on every execution under Verify::always.
     SessionParams params = fast_session();
-    params.engine = rt::Engine::barrier;
+    params.verify = rt::Verify::always;
     Session session(4, params);
     (void)session.leave(7);
     (void)session.leave(12);
-    const ExecStats stats = session.execute(
-        sig_of(Op::broadcast, Family::sbt, 4, 1, 2, 16));
-    EXPECT_TRUE(stats.verified);
-    EXPECT_EQ(stats.member_count, 14u);
+    for (int i = 0; i < 2; ++i) {
+        const ExecStats stats = session.execute(
+            sig_of(Op::broadcast, Family::sbt, 4, 1, 2, 16));
+        EXPECT_TRUE(stats.oracle_checked);
+        EXPECT_TRUE(stats.verified);
+        EXPECT_EQ(stats.member_count, 14u);
+    }
 }
 
 // ---------------------------------------------------------------- service

@@ -6,7 +6,7 @@
 // in-process value).
 #include "net/reliable.hpp"
 
-#include "ft/resilient.hpp"
+#include "ft/fault_model.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "rt/plan.hpp"
@@ -305,21 +305,14 @@ TEST(NetReliable, KillVerdictBlackholesRetransmits) {
 // ------------------------------------------------- per-transport timeouts
 
 TEST(NetReliable, DetectTimeoutScalesWithTransportClass) {
-    // Regression pin: the in-process default predates this subsystem and
-    // must not move underneath the thread-backend tests.
-    EXPECT_EQ(ft::DetectConfig::default_arrival_timeout_us(
-                  ft::TransportClass::ring),
-              2'000u);
+    // Regression pins: only the socket transports wait for an arrival (the
+    // in-process ring reports a missing block at once).
     EXPECT_EQ(ft::DetectConfig::default_arrival_timeout_us(
                   ft::TransportClass::uds),
               500'000u);
     EXPECT_EQ(ft::DetectConfig::default_arrival_timeout_us(
                   ft::TransportClass::tcp),
               2'000'000u);
-    EXPECT_LT(ft::DetectConfig::default_arrival_timeout_us(
-                  ft::TransportClass::ring),
-              ft::DetectConfig::default_arrival_timeout_us(
-                  ft::TransportClass::uds));
     EXPECT_LT(ft::DetectConfig::default_arrival_timeout_us(
                   ft::TransportClass::uds),
               ft::DetectConfig::default_arrival_timeout_us(
@@ -328,13 +321,7 @@ TEST(NetReliable, DetectTimeoutScalesWithTransportClass) {
     const ft::DetectConfig uds =
         ft::DetectConfig::for_transport(ft::TransportClass::uds);
     EXPECT_EQ(uds.arrival_timeout_us, 500'000u);
-    EXPECT_TRUE(uds.abort_on_fault);
-
-    // The resilient communicator keeps the ring-class default.
-    const ft::ResilientParams params;
-    EXPECT_EQ(params.detect.arrival_timeout_us,
-              ft::DetectConfig::default_arrival_timeout_us(
-                  ft::TransportClass::ring));
+    EXPECT_TRUE(uds.enabled());
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 // synchronization gets exercised.
 #include "rt/async_player.hpp"
 
-#include "common/check.hpp"
 #include "rt/plan.hpp"
 #include "rt/player.hpp"
 #include "rt/verify.hpp"
@@ -62,9 +61,7 @@ void expect_engines_agree(const Schedule& schedule, DataMode mode,
     const Plan one = compile_plan(schedule, mode, kBlock, 1, 1);
     AsyncPlayer bypass(one);
     AsyncPlayer ring(one);
-    ft::DetectConfig detect;
-    detect.arrival_timeout_us = 2'000;
-    ring.set_detection(detect);
+    ring.set_detection(true);
     for (AsyncPlayer* serial : {&bypass, &ring}) {
         const bool ring_walk = serial == &ring;
         SCOPED_TRACE(ring_walk ? "depth-1 rings" : "ring-free walk");
@@ -263,16 +260,6 @@ TEST(RtAsyncVsBarrier, AsyncPlayerIsReusableAcrossRuns) {
     EXPECT_TRUE(second.clean());
     EXPECT_EQ(first.blocks_delivered, second.blocks_delivered);
     EXPECT_EQ(second.blocks_delivered, schedule.sends.size());
-}
-
-TEST(RtAsyncVsBarrier, RejectsRingShallowerThanPlanDepth) {
-    const Schedule schedule = routing::make_msbt_broadcast(
-        3, 0, 6, PortModel::one_port_full_duplex);
-    const Plan plan =
-        compile_plan(schedule, DataMode::move, kBlock, 2, /*depth=*/4);
-    EXPECT_THROW(AsyncPlayer(plan, 2), check_error);
-    AsyncPlayer ok(plan, 4);
-    EXPECT_TRUE(ok.play().clean());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
-// rt::TraceRecorder: every executed action of a clean run — one send and
-// one receive per scheduled block — must land on the executing worker's
-// lane with sane timestamps and schedule coordinates, identically under
-// both engines, and export as well-formed chrome://tracing "X" events.
+// rt::TraceRecorder: every executed action of a clean serial-walk run —
+// one send and one receive per scheduled block, in move and combine mode —
+// must land on lane 0 with sane timestamps and schedule coordinates, and
+// export as well-formed chrome://tracing "X" events.
 #include "rt/tracing.hpp"
 
 #include "ft/fault_model.hpp"
@@ -9,7 +9,6 @@
 #include "routing/schedule_export.hpp"
 #include "rt/async_player.hpp"
 #include "rt/plan.hpp"
-#include "rt/player.hpp"
 #include "trees/sbt.hpp"
 
 #include <gtest/gtest.h>
@@ -33,7 +32,7 @@ Schedule small_schedule() {
 }
 
 /// Shared checks: one send + one recv event per scheduled block, ordered
-/// stamps, in-range coordinates, every lane owned by a real worker.
+/// stamps, in-range coordinates.
 void expect_complete_trace(const TraceRecorder& recorder, const Plan& plan,
                            std::uint64_t sends) {
     EXPECT_EQ(recorder.event_count(), 2 * sends);
@@ -50,12 +49,15 @@ void expect_complete_trace(const TraceRecorder& recorder, const Plan& plan,
     EXPECT_EQ(send_events, sends);
 }
 
-TEST(RtTrace, BarrierEngineRecordsEveryAction) {
-    const Schedule schedule = small_schedule();
-    const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
-    TraceRecorder recorder(plan.workers);
+TEST(RtTrace, CombinePlayRecordsEveryAction) {
+    // A reduce runs the copy-through ring walk: every accumulate is traced.
+    const Schedule forward = small_schedule();
+    const Schedule schedule =
+        routing::reverse_broadcast_for_reduce(forward, 0);
+    const Plan plan = compile_plan(schedule, DataMode::combine, 16, 2);
+    TraceRecorder recorder(1);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     const PlayStats stats = player.play();
     ASSERT_TRUE(stats.clean());
@@ -65,7 +67,7 @@ TEST(RtTrace, BarrierEngineRecordsEveryAction) {
 TEST(RtTrace, AsyncEngineRecordsEveryAction) {
     const Schedule schedule = small_schedule();
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 3);
-    TraceRecorder recorder(plan.workers);
+    TraceRecorder recorder(1);
 
     AsyncPlayer player(plan);
     player.set_trace(&recorder);
@@ -77,9 +79,9 @@ TEST(RtTrace, AsyncEngineRecordsEveryAction) {
 TEST(RtTrace, ResetClearsEventsAndDetachedRunsRecordNothing) {
     const Schedule schedule = small_schedule();
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
-    TraceRecorder recorder(plan.workers);
+    TraceRecorder recorder(1);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     ASSERT_TRUE(player.play().clean());
     EXPECT_GT(recorder.event_count(), 0u);
@@ -92,27 +94,59 @@ TEST(RtTrace, ResetClearsEventsAndDetachedRunsRecordNothing) {
     EXPECT_EQ(recorder.event_count(), 0u);
 }
 
-TEST(RtTrace, SharedEpochMergesTwoEnginesIntoOneTimeline) {
+TEST(RtTrace, SharedEpochMergesTwoPlaysIntoOneTimeline) {
+    // Two plays on one recorder epoch (the attempts of a recovery, say)
+    // land in one timeline; exported under distinct pids they stay apart.
     const Schedule schedule = small_schedule();
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
-    TraceRecorder recorder(plan.workers);
+    TraceRecorder recorder(1);
 
-    Player barrier(plan);
-    barrier.set_trace(&recorder);
-    ASSERT_TRUE(barrier.play().clean());
-    AsyncPlayer async(plan);
-    async.set_trace(&recorder);
-    ASSERT_TRUE(async.play().clean());
-
+    AsyncPlayer first(plan);
+    first.set_trace(&recorder);
+    ASSERT_TRUE(first.play().clean());
+    AsyncPlayer second(plan);
+    second.set_trace(&recorder);
+    ASSERT_TRUE(second.play().clean());
     EXPECT_EQ(recorder.event_count(), 4 * schedule.sends.size());
+
+    const std::string path =
+        testing::TempDir() + "hcube_trace_two_pids.json";
+    {
+        JsonArrayWriter json(path);
+        ASSERT_TRUE(json.ok());
+        TraceRecorder one(1);
+        first.set_trace(&one);
+        ASSERT_TRUE(first.play().clean());
+        one.append_chrome_events(json, 1, "first");
+        TraceRecorder two(1);
+        second.set_trace(&two);
+        ASSERT_TRUE(second.play().clean());
+        two.append_chrome_events(json, 2, "second");
+        ASSERT_TRUE(json.close());
+    }
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::string text = buffer.str();
+    std::remove(path.c_str());
+    const auto count_of = [&](const std::string& needle) {
+        std::size_t count = 0;
+        for (std::size_t pos = text.find(needle); pos != std::string::npos;
+             pos = text.find(needle, pos + needle.size())) {
+            ++count;
+        }
+        return count;
+    };
+    EXPECT_EQ(count_of("\"pid\": 1"), 2 * schedule.sends.size());
+    EXPECT_EQ(count_of("\"pid\": 2"), 2 * schedule.sends.size());
 }
 
 TEST(RtTrace, ChromeExportEmitsWellFormedCompleteEvents) {
     const Schedule schedule = small_schedule();
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
-    TraceRecorder recorder(plan.workers);
+    TraceRecorder recorder(1);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     ASSERT_TRUE(player.play().clean());
 
@@ -121,7 +155,7 @@ TEST(RtTrace, ChromeExportEmitsWellFormedCompleteEvents) {
     {
         JsonArrayWriter json(path);
         ASSERT_TRUE(json.ok());
-        recorder.append_chrome_events(json, 7, "barrier");
+        recorder.append_chrome_events(json, 7, "serial");
         ASSERT_TRUE(json.close());
     }
 
@@ -147,7 +181,7 @@ TEST(RtTrace, ChromeExportEmitsWellFormedCompleteEvents) {
     };
     EXPECT_EQ(count_of("\"ph\": \"X\""), recorder.event_count());
     EXPECT_EQ(count_of("\"pid\": 7"), recorder.event_count());
-    EXPECT_EQ(count_of("\"cat\": \"barrier\""), recorder.event_count());
+    EXPECT_EQ(count_of("\"cat\": \"serial\""), recorder.event_count());
     EXPECT_GT(count_of("\"ts\":"), 0u);
     EXPECT_GT(count_of("\"dur\":"), 0u);
     EXPECT_EQ(count_of("\"name\": \"send c"),
@@ -157,9 +191,9 @@ TEST(RtTrace, ChromeExportEmitsWellFormedCompleteEvents) {
 TEST(RtTrace, WriteChromeTraceIsAStandaloneValidFile) {
     const Schedule schedule = small_schedule();
     const Plan plan = compile_plan(schedule, DataMode::move, 16, 2);
-    TraceRecorder recorder(plan.workers);
+    TraceRecorder recorder(1);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
     ASSERT_TRUE(player.play().clean());
 
@@ -179,7 +213,7 @@ TEST(RtTrace, WriteChromeTraceIsAStandaloneValidFile) {
 }
 
 TEST(RtTrace, AbortedRunFlushesPartialTraceToAbortPath) {
-    // A killed link with abort_on_fault: play() comes back dirty without
+    // A killed link with detection armed: play() comes back dirty without
     // ever returning control between the fault and the teardown, so the
     // recorder itself must flush the partial timeline to its abort path —
     // the post-mortem a crashed run leaves behind.
@@ -193,17 +227,16 @@ TEST(RtTrace, AbortedRunFlushesPartialTraceToAbortPath) {
     ft::FaultInjector injector(faults);
     injector.arm(plan);
 
-    TraceRecorder recorder(plan.workers);
+    TraceRecorder recorder(1);
     EXPECT_FALSE(recorder.flush_abort()); // unarmed: nothing to write
     const std::string path =
         testing::TempDir() + "hcube_trace_abort.json";
     recorder.set_abort_path(path);
     EXPECT_EQ(recorder.abort_path(), path);
 
-    Player player(plan);
+    AsyncPlayer player(plan);
     player.set_trace(&recorder);
-    player.set_detection(
-        {.arrival_timeout_us = 1000, .abort_on_fault = true});
+    player.set_detection(true);
     player.set_fault_hook(&injector);
     const PlayStats stats = player.play();
     ASSERT_FALSE(stats.clean());

@@ -422,12 +422,17 @@ TEST(SvcSession, VerifyNeverStillByteChecksHoldings) {
 }
 
 TEST(SvcSession, BarrierEngineMatchesMakespanInSteadyState) {
+    // The barrier Player is the oracle: under Verify::always it re-runs on
+    // every cache hit, and a verified execution means its barriered cycle
+    // count matched the cycle-model makespan, as the walk's depth does.
     SessionParams params = fast_session();
-    params.engine = rt::Engine::barrier;
+    params.verify = rt::Verify::always;
     Session session(3, params);
     const Signature sig = sig_of(Op::broadcast, Family::sbt, 3, 0, 2, 16);
     for (int i = 0; i < 3; ++i) {
         const ExecStats stats = session.execute(sig);
+        EXPECT_EQ(stats.cache_hit, i > 0);
+        EXPECT_TRUE(stats.oracle_checked);
         EXPECT_TRUE(stats.verified);
         EXPECT_EQ(stats.rt_cycles, stats.sim_makespan);
     }
